@@ -10,9 +10,9 @@ from flowhold.control import (
     pid_step,
     reset_derivative,
 )
-from flowhold.corners import Corner, DetectParams, Rect, StructureTensor, detect_corners, min_eigenvalue, response_map
-from flowhold.flow import FlowResult, FlowStatus, LkParams, Pyramid, build_pyramid, lk_track, track_points
-from flowhold.image import GradientField, GrayImage, PgmError, load_pgm, sample_bilinear, save_pgm, sobel_gradients
+from flowhold.corners import Corner, DetectParams, Rect, detect_corners, min_eigenvalue, response_map
+from flowhold.flow import FlowResult, FlowStatus, LkParams, Pyramid, build_pyramid, track_points
+from flowhold.image import GrayImage, PgmError, load_pgm, save_pgm, sobel_gradients
 from flowhold.sim import (
     GroundTexture,
     SimConfig,
@@ -21,7 +21,6 @@ from flowhold.sim import (
     render_frame,
     run_episode,
     step_dynamics,
-    texture_at,
     wind_step,
 )
 from flowhold.telemetry import DispersionReport, FrameRecord, dispersion_stats, write_csv, write_summary_json

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -51,7 +52,13 @@ def _coerce(value: Any, target: type, path: str) -> Any:
     if target is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if target is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")

@@ -86,24 +86,16 @@ def displacement_from_center(
     feature: tuple[float, float],
     width: int,
     height: int,
-    center: str = "integer",
 ) -> Displacement:
-    """Pixel displacement of ``feature`` from the image center.
+    """Pixel displacement of ``feature`` from the image center (w//2, h//2).
 
-    center="integer" uses (w//2, h//2); "geometric" uses the exact
-    midpoint ((w-1)/2, (h-1)/2). Integer is the default so the
-    640x480 arithmetic works out to whole pixels.
+    The integer center makes the 640x480 arithmetic work out to whole
+    pixels.
     """
     fx, fy = float(feature[0]), float(feature[1])
     if not (0.0 <= fx <= width - 1 and 0.0 <= fy <= height - 1):
         raise ValueError(f"feature {feature} outside {width}x{height} image bounds")
-    if center == "integer":
-        cx, cy = float(width // 2), float(height // 2)
-    elif center == "geometric":
-        cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
-    else:
-        raise ValueError(f"unknown center convention {center!r}")
-    return Displacement(x=fx - cx, y=fy - cy)
+    return Displacement(x=fx - width // 2, y=fy - height // 2)
 
 
 def pid_step(

@@ -1,7 +1,8 @@
 """Min-eigenvalue corner response and greedy corner selection.
 
 The response of a window is the smaller eigenvalue of its structure
-tensor (the 2x2 matrix of window-summed gradient products). Selection
+tensor (the 2x2 matrix of window-summed gradient products), built from
+valid-region Sobel gradients of the edge-padded image. Selection
 takes candidates above a quality threshold relative to the strongest
 response, greedily by descending response with minimum-distance
 suppression.
@@ -9,7 +10,6 @@ suppression.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,26 +20,10 @@ __all__ = [
     "Corner",
     "DetectParams",
     "Rect",
-    "StructureTensor",
     "detect_corners",
     "min_eigenvalue",
     "response_map",
 ]
-
-
-@dataclass(frozen=True)
-class StructureTensor:
-    """Window-summed gradient products: a = sum ix^2, b = sum ix*iy, c = sum iy^2."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.a < 0.0 or self.c < 0.0:
-            raise ValueError("diagonal entries must be non-negative")
-        if self.b * self.b > self.a * self.c + 1e-9:
-            raise ValueError("b^2 <= a*c violated beyond rounding slack")
 
 
 @dataclass(frozen=True)
@@ -86,11 +70,11 @@ class DetectParams:
             raise ValueError("window_radius must be >= 1")
 
 
-def min_eigenvalue(t: StructureTensor) -> float:
-    """Smaller eigenvalue of the 2x2 structure tensor, clamped at zero."""
-    half_tr = 0.5 * (t.a + t.c)
-    root = math.hypot(0.5 * (t.a - t.c), t.b)
-    return max(0.0, half_tr - root)
+def min_eigenvalue(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Smaller eigenvalue of each 2x2 tensor [[a, b], [b, c]], clamped at zero."""
+    lam = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    np.clip(lam, 0.0, None, out=lam)
+    return lam
 
 
 def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
@@ -113,13 +97,11 @@ def response_map(image: GrayImage, window_radius: int = 2) -> np.ndarray:
         raise ValueError(
             f"image must be at least {need}x{need} for window_radius={window_radius}"
         )
-    g = sobel_gradients(image)
-    a = _box_sum(g.ix * g.ix, window_radius)
-    b = _box_sum(g.ix * g.iy, window_radius)
-    c = _box_sum(g.iy * g.iy, window_radius)
-    resp = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-    np.clip(resp, 0.0, None, out=resp)
-    return resp
+    ix, iy = sobel_gradients(np.pad(image.pixels, 1, mode="edge"))
+    a = _box_sum(ix * ix, window_radius)
+    b = _box_sum(ix * iy, window_radius)
+    c = _box_sum(iy * iy, window_radius)
+    return min_eigenvalue(a, b, c)
 
 
 def detect_corners(image: GrayImage, roi: Rect, params: DetectParams) -> list[Corner]:

@@ -2,9 +2,10 @@
 
 Coarse-to-fine, forward-additive: at each pyramid level the 2x2 normal
 system G * delta = e is rebuilt from the previous frame's window
-gradients (sampled bilinearly once per level) and iterated against the
-next frame until the update norm drops below epsilon. The flow estimate
-doubles when moving up a level.
+gradients and iterated against the next frame until the update norm
+drops below epsilon. The window gradients are the valid-region Sobel
+gradients of a patch sampled bilinearly once per level with a one-pixel
+rim. The flow estimate doubles when moving up a level.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowhold.image import GrayImage, bilinear_many
+from flowhold.corners import min_eigenvalue
+from flowhold.image import GrayImage, bilinear_many, sobel_gradients
 
 __all__ = [
     "FlowResult",
@@ -22,7 +24,6 @@ __all__ = [
     "LkParams",
     "Pyramid",
     "build_pyramid",
-    "lk_track",
     "track_points",
 ]
 
@@ -131,20 +132,6 @@ _STATUS = {
 }
 
 
-def _patch_gradients(patch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Same 3x3 Sobel/8 kernel as imaging, applied to the sampled patch
-    # (the extra 1-pixel rim makes the valid region the LK window).
-    ix = (
-        (patch[:, :-2, 2:] + 2.0 * patch[:, 1:-1, 2:] + patch[:, 2:, 2:])
-        - (patch[:, :-2, :-2] + 2.0 * patch[:, 1:-1, :-2] + patch[:, 2:, :-2])
-    ) / 8.0
-    iy = (
-        (patch[:, 2:, :-2] + 2.0 * patch[:, 2:, 1:-1] + patch[:, 2:, 2:])
-        - (patch[:, :-2, :-2] + 2.0 * patch[:, :-2, 1:-1] + patch[:, :-2, 2:])
-    ) / 8.0
-    return ix, iy
-
-
 def track_points(
     prev: Pyramid,
     next_: Pyramid,
@@ -214,14 +201,13 @@ def track_points(
             cx = pl[idx, 0][:, None, None] + ox2
             cy = pl[idx, 1][:, None, None] + oy2
             patch = bilinear_many(img_p, cx, cy)
-            gx, gy = _patch_gradients(patch)
+            gx, gy = sobel_gradients(patch)
             prev_win = patch[:, 1:-1, 1:-1]
             a = np.einsum("nij,nij->n", gx, gx)
             b = np.einsum("nij,nij->n", gx, gy)
             c = np.einsum("nij,nij->n", gy, gy)
-            min_eig = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
             det = a * c - b * b
-            ill = (min_eig / npx < params.min_eigen_threshold) | (det <= 0.0)
+            ill = (min_eigenvalue(a, b, c) / npx < params.min_eigen_threshold) | (det <= 0.0)
             if level == 0:
                 # Conditioning is judged at full resolution; coarser
                 # levels may legitimately blur the structure away, in
@@ -301,12 +287,3 @@ def track_points(
         for i in range(n)
     ]
 
-
-def lk_track(
-    prev: Pyramid,
-    next_: Pyramid,
-    point: tuple[float, float],
-    params: LkParams,
-) -> FlowResult:
-    """Track a single point; see track_points for the batched form."""
-    return track_points(prev, next_, [point], params)[0]

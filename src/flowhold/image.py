@@ -2,7 +2,8 @@
 
 Everything downstream (corners, flow, rendering) works on GrayImage:
 a float64 raster normalized to [0, 1]. Eight-bit quantization exists
-only at the PGM boundary.
+only at the PGM boundary. The Sobel kernel returns the valid region
+only; callers that want same-size gradients pad their input first.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ import numpy as np
 
 __all__ = [
     "GrayImage",
-    "GradientField",
     "PgmError",
     "load_pgm",
     "save_pgm",
-    "sample_bilinear",
     "sobel_gradients",
 ]
 
@@ -61,20 +60,6 @@ class GrayImage:
     @classmethod
     def full(cls, width: int, height: int, value: float) -> "GrayImage":
         return cls(np.full((height, width), value, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class GradientField:
-    """Per-pixel horizontal (ix) and vertical (iy) intensity derivatives."""
-
-    ix: np.ndarray
-    iy: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.ix.shape != self.iy.shape:
-            raise ValueError("ix and iy must have identical shapes")
-        self.ix.setflags(write=False)
-        self.iy.setflags(write=False)
 
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -159,34 +144,22 @@ def bilinear_many(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     return top * (1.0 - fy) + bot * fy
 
 
-def sample_bilinear(image: GrayImage, x: float, y: float) -> float:
-    """Bilinear blend of the 4 pixels surrounding (x, y).
+def sobel_gradients(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 Sobel derivatives scaled by 1/8 over the last two axes of ``p``.
 
-    Exact at integer coordinates. Raises ValueError outside
-    [0, width-1] x [0, height-1]; callers clamp or reject first.
+    Returns (ix, iy) on the valid region only, two pixels smaller than
+    ``p`` along each of those axes; pad by edge replication first for
+    same-size gradients. The 1/8 normalization makes a unit-slope ramp
+    produce gradient 1.0 per pixel.
     """
-    if not 0.0 <= x <= image.width - 1:
-        raise ValueError(f"x={x} outside [0, {image.width - 1}]")
-    if not 0.0 <= y <= image.height - 1:
-        raise ValueError(f"y={y} outside [0, {image.height - 1}]")
-    return float(bilinear_many(image.pixels, np.asarray([x]), np.asarray([y]))[0])
-
-
-def sobel_gradients(image: GrayImage) -> GradientField:
-    """3x3 Sobel derivatives scaled by 1/8, borders by edge replication.
-
-    The 1/8 normalization makes a unit-slope ramp produce gradient 1.0
-    per pixel in the interior.
-    """
-    if image.width < 3 or image.height < 3:
-        raise ValueError(f"image must be at least 3x3, got {image.width}x{image.height}")
-    p = np.pad(image.pixels, 1, mode="edge")
+    if p.shape[-2] < 3 or p.shape[-1] < 3:
+        raise ValueError(f"input must be at least 3x3 in its last two axes, got {p.shape}")
     ix = (
-        (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
+        (p[..., :-2, 2:] + 2.0 * p[..., 1:-1, 2:] + p[..., 2:, 2:])
+        - (p[..., :-2, :-2] + 2.0 * p[..., 1:-1, :-2] + p[..., 2:, :-2])
     ) / 8.0
     iy = (
-        (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
+        (p[..., 2:, :-2] + 2.0 * p[..., 2:, 1:-1] + p[..., 2:, 2:])
+        - (p[..., :-2, :-2] + 2.0 * p[..., :-2, 1:-1] + p[..., :-2, 2:])
     ) / 8.0
-    return GradientField(ix=ix, iy=iy)
+    return ix, iy

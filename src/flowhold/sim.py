@@ -36,7 +36,6 @@ __all__ = [
     "render_frame",
     "run_episode",
     "step_dynamics",
-    "texture_at",
     "wind_step",
 ]
 
@@ -121,9 +120,17 @@ class SimConfig:
     start_y: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("altitude", "focal_px", "camera_rate", "duration", "physics_dt"):
+        for name in (
+            "altitude", "focal_px", "camera_rate", "duration", "physics_dt",
+            "gravity", "cell_size", "frame_size_cm",
+        ):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0")
+        for name in ("drag_coeff", "settle_time"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be >= 0")
+        if not 0.0 < self.max_tilt < math.pi / 2:
+            raise ConfigError("max_tilt must lie in (0, pi/2)")
         if self.image_width < 8 or self.image_height < 8:
             raise ConfigError("image dimensions must be at least 8x8")
         if self.tilt_tau <= 0.0:
@@ -191,26 +198,6 @@ def _texture_grid(tex: GroundTexture, wx: np.ndarray, wy: np.ndarray) -> np.ndar
     return vals
 
 
-def texture_at(tex: GroundTexture, x: float, y: float) -> float:
-    """Ground intensity at world (x, y); constant within each cell."""
-    return float(_texture_grid(tex, np.asarray([x]), np.asarray([y]))[0])
-
-
-_GRID_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _pixel_offsets(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (width, height)
-    got = _GRID_CACHE.get(key)
-    if got is None:
-        u = np.arange(width, dtype=np.float64) - (width // 2)
-        v = np.arange(height, dtype=np.float64) - (height // 2)
-        du, dv = np.meshgrid(u, v)
-        got = (du, dv)
-        _GRID_CACHE[key] = got
-    return got
-
-
 def render_frame(
     tex: GroundTexture,
     vehicle: VehicleState,
@@ -224,12 +211,13 @@ def render_frame(
     modeled. Low light applies clamp(gain * i + eta, 0, 1) with eta
     drawn from ``rng`` (a fresh seeded stream when omitted).
     """
-    du, dv = _pixel_offsets(cfg.image_width, cfg.image_height)
+    u = np.arange(cfg.image_width, dtype=np.float64) - (cfg.image_width // 2)
+    v = (np.arange(cfg.image_height, dtype=np.float64) - (cfg.image_height // 2))[:, None]
     gsd = cfg.ground_sample_distance
     cos_y = math.cos(vehicle.yaw)
     sin_y = math.sin(vehicle.yaw)
-    wx = vehicle.x + gsd * (cos_y * du - sin_y * dv)
-    wy = vehicle.y + gsd * (sin_y * du + cos_y * dv)
+    wx = vehicle.x + gsd * (cos_y * u - sin_y * v)
+    wy = vehicle.y + gsd * (sin_y * u + cos_y * v)
     vals = _texture_grid(tex, wx, wy)
     if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:
         vals = vals * cfg.lowlight_gain

@@ -160,6 +160,27 @@ class TestSimulateAndReport:
         assert code == 2
         assert "duration" in err
 
+    @pytest.mark.parametrize("route", ["set", "config"])
+    @pytest.mark.parametrize(
+        "raw", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    @pytest.mark.parametrize("field", ["sim.altitude", "sim.wind_sigma"])
+    def test_non_finite_number_exit_2(self, capsys, tmp_path, route, raw, field):
+        if route == "set":
+            source = ["--set", f"{field}={raw}"]
+        else:
+            section, name = field.split(".")
+            path = tmp_path / "nonfinite.json"
+            path.write_text(f'{{"{section}": {{"{name}": {raw}}}}}')
+            source = ["--config", str(path)]
+        code, _, err = run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "1", *source,
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert field in err
+
     def test_report_matches_summary(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--preset", "calm", "--duration", "6",

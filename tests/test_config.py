@@ -102,6 +102,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="physics_dt"):
             load_run_config(None, None, {"sim": {"physics_dt": 0.007}})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("gravity", -9.81),
+            ("drag_coeff", -0.1),
+            ("max_tilt", 1.6),
+            ("cell_size", 0.0),
+            ("settle_time", -1.0),
+            ("frame_size_cm", 0.0),
+        ],
+    )
+    def test_physical_sim_fields_checked(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            load_run_config(None, None, {"sim": {field: value}})
+
     def test_tracker_min_alive_bound(self):
         with pytest.raises(ConfigError):
             load_run_config(

@@ -35,10 +35,6 @@ class TestDisplacement:
         upper = displacement_from_center((320.0, 50.0), 640, 480)
         assert left.x < 0 and upper.y < 0
 
-    def test_geometric_center_option(self):
-        d = displacement_from_center((319.5, 239.5), 640, 480, center="geometric")
-        assert (d.x, d.y, d.d) == (0.0, 0.0, 0.0)
-
     def test_out_of_bounds_is_argument_error(self):
         with pytest.raises(ValueError):
             displacement_from_center((640.0, 100.0), 640, 480)

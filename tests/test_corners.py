@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from flowhold.corners import (
     DetectParams,
     Rect,
-    StructureTensor,
     detect_corners,
     min_eigenvalue,
     response_map,
@@ -18,22 +17,30 @@ from flowhold.image import GrayImage
 from util import brute_detect, brute_response_map, square_fixture
 
 
+def min_eig(a, b, c):
+    return float(min_eigenvalue(np.array([a]), np.array([b]), np.array([c]))[0])
+
+
 class TestMinEigenvalue:
     def test_isotropic(self):
-        assert min_eigenvalue(StructureTensor(2.0, 0.0, 2.0)) == 2.0
+        assert min_eig(2.0, 0.0, 2.0) == 2.0
 
     def test_closed_form(self):
-        got = min_eigenvalue(StructureTensor(3.0, 1.0, 1.0))
+        got = min_eig(3.0, 1.0, 1.0)
         assert got == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-12)
 
     def test_rank_one_is_edge(self):
-        assert min_eigenvalue(StructureTensor(5.0, 0.0, 0.0)) == 0.0
+        assert min_eig(5.0, 0.0, 0.0) == 0.0
 
-    def test_tensor_invariants(self):
-        with pytest.raises(ValueError):
-            StructureTensor(-1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            StructureTensor(1.0, 2.0, 1.0)
+    def test_matches_eigvalsh_on_random_psd(self):
+        rng = np.random.default_rng(17)
+        m = rng.normal(size=(500, 2, 2)) * rng.uniform(0.0, 10.0, (500, 1, 1))
+        t = m @ m.transpose(0, 2, 1)  # PSD by construction
+        got = min_eigenvalue(t[:, 0, 0], t[:, 0, 1], t[:, 1, 1])
+        want = np.clip(np.linalg.eigvalsh(t)[:, 0], 0.0, None)
+        scale = np.trace(t, axis1=1, axis2=2)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale.max())
+        assert (got >= 0.0).all()
 
 
 class TestResponseMap:

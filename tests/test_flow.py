@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowhold.flow import FlowStatus, LkParams, build_pyramid, lk_track, track_points
+from flowhold.flow import FlowStatus, LkParams, build_pyramid, track_points
 from flowhold.image import GrayImage
 
 from util import smooth_texture, ssd_best_shift
@@ -47,7 +47,7 @@ class TestLkTrack:
     def test_identity_frames_fixpoint(self):
         img = smooth_texture(64, 64, seed=2)
         pyr = build_pyramid(img, 3)
-        res = lk_track(pyr, pyr, (30.0, 25.0), LkParams())
+        res = track_points(pyr, pyr, [(30.0, 25.0)], LkParams())[0]
         assert res.status is FlowStatus.TRACKED
         assert res.point == (30.0, 25.0)
         assert res.residual == 0.0
@@ -71,14 +71,14 @@ class TestLkTrack:
     def test_uniform_region_is_ill_conditioned(self):
         img = GrayImage.full(64, 64, 0.5)
         pyr = build_pyramid(img, 2)
-        res = lk_track(pyr, pyr, (32.0, 32.0), LkParams())
+        res = track_points(pyr, pyr, [(32.0, 32.0)], LkParams())[0]
         assert res.status is FlowStatus.ILL_CONDITIONED
 
     def test_precondition_violation_is_an_error(self):
         img = smooth_texture(64, 64, seed=1)
         pyr = build_pyramid(img, 2)
         with pytest.raises(ValueError):
-            lk_track(pyr, pyr, (5.0, 32.0), LkParams(window_radius=10))
+            track_points(pyr, pyr, [(5.0, 32.0)], LkParams(window_radius=10))
 
     @pytest.mark.parametrize("frac", [(0.5, 0.0), (0.25, 0.25), (0.5, -0.25)])
     def test_subpixel_recovery(self, frac):
@@ -88,7 +88,7 @@ class TestLkTrack:
         prev_pyr = build_pyramid(prev, params.pyramid_levels)
         next_pyr = build_pyramid(next_, params.pyramid_levels)
         for pt in [(30.0, 30.0), (45.5, 38.0), (25.0, 50.0)]:
-            res = lk_track(prev_pyr, next_pyr, pt, params)
+            res = track_points(prev_pyr, next_pyr, [pt], params)[0]
             assert res.tracked
             err = np.hypot(res.point[0] - (pt[0] + frac[0]), res.point[1] - (pt[1] + frac[1]))
             assert err <= 0.1
@@ -123,7 +123,7 @@ class TestLkTrack:
             a = build_pyramid(prev, params.pyramid_levels)
             b = build_pyramid(next_, params.pyramid_levels)
             for pt in [(40, 40), (30, 55), (60, 35)]:
-                res = lk_track(a, b, (float(pt[0]), float(pt[1])), params)
+                res = track_points(a, b, [(float(pt[0]), float(pt[1]))], params)[0]
                 if not res.tracked:
                     continue
                 sdx, sdy = ssd_best_shift(prev, next_, pt, radius=10, search=6)
@@ -139,8 +139,8 @@ class TestLkTrack:
         b = build_pyramid(shifted, params.pyramid_levels)
         c = build_pyramid(offset, params.pyramid_levels)
         pt = (40.0, 40.0)
-        clean = lk_track(a, b, pt, params)
-        biased = lk_track(a, c, pt, params)
+        clean = track_points(a, b, [pt], params)[0]
+        biased = track_points(a, c, [pt], params)[0]
         assert clean.tracked and biased.tracked
         drift = np.hypot(
             biased.point[0] - clean.point[0], biased.point[1] - clean.point[1]
@@ -151,11 +151,11 @@ class TestLkTrack:
     def test_lost_reasons_do_not_overlap_argument_errors(self):
         img = smooth_texture(64, 64, seed=3)
         pyr = build_pyramid(img, 2)
-        res = lk_track(pyr, pyr, (12.0, 12.0), LkParams(window_radius=10))
+        res = track_points(pyr, pyr, [(12.0, 12.0)], LkParams(window_radius=10))[0]
         assert isinstance(res.status, FlowStatus)
 
     def test_mismatched_pyramids_rejected(self):
         a = build_pyramid(smooth_texture(64, 64, seed=1), 2)
         b = build_pyramid(smooth_texture(48, 64, seed=1), 2)
         with pytest.raises(ValueError):
-            lk_track(a, b, (32.0, 32.0), LkParams())
+            track_points(a, b, [(32.0, 32.0)], LkParams())

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from flowhold.image import (
     GrayImage,
     PgmError,
+    bilinear_many,
     load_pgm,
-    sample_bilinear,
     save_pgm,
     sobel_gradients,
 )
@@ -99,28 +99,32 @@ class TestSavePgm:
         assert np.abs(back.pixels - img.pixels).max() <= 1.0 / 510.0
 
 
+def sample(img, x, y):
+    """One bilinear sample through the vectorized sampler."""
+    return float(bilinear_many(img.pixels, np.array([x], dtype=float), np.array([y], dtype=float))[0])
+
+
+def sobel_same(px):
+    """Same-size gradients with replicated borders."""
+    return sobel_gradients(np.pad(px, 1, mode="edge"))
+
+
 class TestSampleBilinear:
     def test_exact_at_integer_coordinates(self):
         rng = np.random.default_rng(3)
         img = GrayImage(rng.uniform(0, 1, (8, 10)))
-        assert sample_bilinear(img, 3, 5) == img.pixels[5, 3]
-        assert sample_bilinear(img, 9, 7) == img.pixels[7, 9]
+        assert sample(img, 3, 5) == img.pixels[5, 3]
+        assert sample(img, 9, 7) == img.pixels[7, 9]
 
     def test_midpoint_between_two_pixels(self):
         img = GrayImage(np.array([[0.0, 1.0]]))
-        assert sample_bilinear(img, 0.5, 0.0) == 0.5
+        assert sample(img, 0.5, 0.0) == 0.5
 
     def test_hand_evaluated_blend(self):
         # rows: [0, 1], [0.5, 1]; blend at (0.25, 0.75):
         # top = 0.25, bottom = 0.625, result = 0.25*0.25 + 0.625*0.75
         img = GrayImage(np.array([[0.0, 1.0], [0.5, 1.0]]))
-        assert sample_bilinear(img, 0.25, 0.75) == pytest.approx(0.53125, abs=1e-15)
-
-    @pytest.mark.parametrize("x,y", [(-0.1, 0.0), (0.0, -0.1), (1.01, 0.0), (0.0, 1.01)])
-    def test_out_of_range(self, x, y):
-        img = GrayImage.full(2, 2, 0.5)
-        with pytest.raises(ValueError):
-            sample_bilinear(img, x, y)
+        assert sample(img, 0.25, 0.75) == pytest.approx(0.53125, abs=1e-15)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -137,51 +141,61 @@ class TestSampleBilinear:
         y2 = min(max(y + dy, 0.0), 4.0)
         delta = np.hypot(x2 - x, y2 - y)
         spread = img.pixels.max() - img.pixels.min()
-        change = abs(sample_bilinear(img, x2, y2) - sample_bilinear(img, x, y))
+        change = abs(sample(img, x2, y2) - sample(img, x, y))
         assert change <= delta * spread * 2.0 + 1e-12
 
 
 class TestSobelGradients:
     def test_constant_image_zero_gradient(self):
-        g = sobel_gradients(GrayImage.full(9, 7, 0.42))
-        assert np.abs(g.ix).max() == 0.0
-        assert np.abs(g.iy).max() == 0.0
+        ix, iy = sobel_same(np.full((7, 9), 0.42))
+        assert np.abs(ix).max() == 0.0
+        assert np.abs(iy).max() == 0.0
 
     def test_ramp_gives_slope(self):
         s = 0.05
         px = np.tile(np.arange(12) * s, (9, 1))
-        g = sobel_gradients(GrayImage(px))
-        np.testing.assert_allclose(g.ix[1:-1, 1:-1], s, atol=1e-12)
-        np.testing.assert_allclose(g.iy[1:-1, 1:-1], 0.0, atol=1e-12)
+        ix, iy = sobel_same(px)
+        np.testing.assert_allclose(ix[1:-1, 1:-1], s, atol=1e-12)
+        np.testing.assert_allclose(iy[1:-1, 1:-1], 0.0, atol=1e-12)
 
     def test_transposed_ramp_swaps_axes(self):
         s = 0.03
         px = np.tile(np.arange(10) * s, (10, 1))
-        g = sobel_gradients(GrayImage(px))
-        gt = sobel_gradients(GrayImage(px.T))
-        np.testing.assert_array_equal(gt.iy, g.ix.T)
-        np.testing.assert_array_equal(gt.ix, g.iy.T)
+        ix, iy = sobel_same(px)
+        ixt, iyt = sobel_same(px.T)
+        np.testing.assert_array_equal(iyt, ix.T)
+        np.testing.assert_array_equal(ixt, iy.T)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            sobel_gradients(GrayImage.full(2, 5, 0.1))
+            sobel_gradients(np.full((5, 2), 0.1))
+
+    def test_stack_equals_per_slice(self):
+        rng = np.random.default_rng(11)
+        stack = rng.uniform(0.0, 1.0, (4, 6, 8))
+        ix, iy = sobel_gradients(stack)
+        assert ix.shape == iy.shape == (4, 4, 6)  # valid region only
+        for k in range(stack.shape[0]):
+            sx, sy = sobel_gradients(stack[k])
+            np.testing.assert_array_equal(ix[k], sx)
+            np.testing.assert_array_equal(iy[k], sy)
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 100), offset=st.floats(0.0, 0.4))
     def test_dc_invariance(self, seed, offset):
         rng = np.random.default_rng(seed)
         base = rng.uniform(0.0, 0.5, (6, 8))
-        g1 = sobel_gradients(GrayImage(base))
-        g2 = sobel_gradients(GrayImage(base + offset))
-        np.testing.assert_allclose(g2.ix, g1.ix, atol=1e-12)
-        np.testing.assert_allclose(g2.iy, g1.iy, atol=1e-12)
+        g1 = sobel_same(base)
+        g2 = sobel_same(base + offset)
+        np.testing.assert_allclose(g2[0], g1[0], atol=1e-12)
+        np.testing.assert_allclose(g2[1], g1[1], atol=1e-12)
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 100))
     def test_mirror_parity(self, seed):
         rng = np.random.default_rng(seed)
         px = rng.uniform(0, 1, (7, 9))
-        g = sobel_gradients(GrayImage(px))
-        gm = sobel_gradients(GrayImage(px[:, ::-1].copy()))
-        np.testing.assert_allclose(gm.ix, -g.ix[:, ::-1], atol=1e-15)
-        np.testing.assert_allclose(gm.iy, g.iy[:, ::-1], atol=1e-15)
+        ix, iy = sobel_same(px)
+        ixm, iym = sobel_same(px[:, ::-1].copy())
+        np.testing.assert_allclose(ixm, -ix[:, ::-1], atol=1e-15)
+        np.testing.assert_allclose(iym, iy[:, ::-1], atol=1e-15)
