@@ -120,7 +120,8 @@ def load_run_config(
     """Assemble a RunConfig from defaults, preset, file, and overrides.
 
     Raises ConfigError with a section.field path for any unknown or
-    ill-typed entry, before anything runs.
+    ill-typed entry, and with the section for any out-of-range value,
+    before anything runs.
     """
     sections: dict[str, dict[str, Any]] = {name: {} for name in _SECTIONS}
 
@@ -145,17 +146,20 @@ def load_run_config(
         _validate_tree(overrides, "overrides")
         apply(overrides)
 
-    try:
-        sim = SimConfig(**sections["sim"])
-        gains = PidGains(**sections["gains"])
-        detect = DetectParams(**sections["detect"])
-        lk = LkParams(**sections["lk"])
-        tracker = TrackerConfig(
-            detect=detect, lk=lk, min_alive=sections["tracker"].get("min_alive", 5)
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _ = sim.substeps  # surfaces dt divisibility problems up front
+    def build(section: str, make):
+        try:
+            return make()
+        except ValueError as exc:  # a dataclass's semantic check names the field only
+            raise ConfigError(f"{section}: {exc}") from None
+
+    sim = build("sim", lambda: SimConfig(**sections["sim"]))
+    build("sim", lambda: sim.substeps)  # surfaces dt divisibility problems up front
+    gains = build("gains", lambda: PidGains(**sections["gains"]))
+    detect = build("detect", lambda: DetectParams(**sections["detect"]))
+    lk = build("lk", lambda: LkParams(**sections["lk"]))
+    tracker = build("tracker", lambda: TrackerConfig(
+        detect=detect, lk=lk, min_alive=sections["tracker"].get("min_alive", 5)
+    ))
     return RunConfig(
         sim=sim,
         gains=gains,

@@ -59,9 +59,9 @@ class PidGains:
 
     def __post_init__(self) -> None:
         for name in ("kp", "ki", "kd", "i_limit"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be non-negative")
-        if self.out_limit <= 0.0:
+        if not self.out_limit > 0.0:
             raise ValueError("out_limit must be > 0")
 
 

@@ -6,6 +6,11 @@ valid-region Sobel gradients of the edge-padded image. Selection
 takes candidates above a quality threshold relative to the strongest
 response, greedily by descending response with minimum-distance
 suppression.
+
+Detection cuts the frame r+1 rows below and r+1 columns right of the
+ROI (r the window radius; at least 2r+3, at most the frame), which
+leaves the response inside the ROI bit-identical: the cut keeps the
+origin of the window-sum prefix sums, where a top or left cut would not.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ class DetectParams:
             raise ValueError("max_corners must be >= 1")
         if not 0.0 < self.quality_level <= 1.0:
             raise ValueError("quality_level must lie in (0, 1]")
-        if self.min_distance < 0.0:
+        if not self.min_distance >= 0.0:  # NaN fails too
             raise ValueError("min_distance must be >= 0")
         if self.window_radius < 1:
             raise ValueError("window_radius must be >= 1")
@@ -117,7 +122,11 @@ def detect_corners(image: GrayImage, roi: Rect, params: DetectParams) -> list[Co
     if roi.x < 0 or roi.y < 0 or roi.x + roi.w > image.width or roi.y + roi.h > image.height:
         raise ValueError("roi must lie fully inside the image")
 
-    resp = response_map(image, params.window_radius)
+    r = params.window_radius
+    need = 2 * r + 3
+    h = min(max(roi.y + roi.h + r + 1, need), image.height)
+    w = min(max(roi.x + roi.w + r + 1, need), image.width)
+    resp = response_map(GrayImage(image.pixels[:h, :w]), r)
     sub = resp[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w]
     peak = float(sub.max())
     if peak <= 0.0:

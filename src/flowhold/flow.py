@@ -59,12 +59,9 @@ class LkParams:
             raise ValueError("pyramid_levels must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
-        if self.min_eigen_threshold <= 0.0:
-            raise ValueError("min_eigen_threshold must be > 0")
-        if self.residual_cap <= 0.0:
-            raise ValueError("residual_cap must be > 0")
+        for name in ("epsilon", "min_eigen_threshold", "residual_cap"):
+            if not getattr(self, name) > 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Deterministic closed-loop hover test bed.
 
 Planar point-mass vehicle with first-order tilt lag, a nadir pinhole
-camera rendering a seeded cell-hash ground texture, Ornstein-Uhlenbeck
-wind gusts, and optional low-light degradation. One episode runs the
-full vision/control loop at the camera rate with fixed-step physics
+camera rendering a seeded cell-hash ground texture (hashed once per
+cell in view, then gathered into the frame), Ornstein-Uhlenbeck wind
+gusts, and optional low-light degradation. One episode runs the full
+vision/control loop at the camera rate with fixed-step physics
 substeps in between, and is bit-reproducible from its config.
 """
 
@@ -81,7 +82,7 @@ class GroundTexture:
     blank_rect: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.cell_size <= 0.0:
+        if not self.cell_size > 0.0:
             raise ValueError("cell_size must be > 0")
 
 
@@ -120,25 +121,25 @@ class SimConfig:
     start_y: float = 0.0
 
     def __post_init__(self) -> None:
+        # Each check passes only on a valid value, so NaN fails them all.
         for name in (
             "altitude", "focal_px", "camera_rate", "duration", "physics_dt",
-            "gravity", "cell_size", "frame_size_cm",
+            "gravity", "cell_size", "frame_size_cm", "tilt_tau",
         ):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0")
-        for name in ("drag_coeff", "settle_time"):
-            if getattr(self, name) < 0.0:
+        for name in ("drag_coeff", "settle_time", "lowlight_noise", "wind_sigma", "wind_rate"):
+            if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be >= 0")
+        for name in ("yaw_rate", "start_x", "start_y"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not 0.0 < self.max_tilt < math.pi / 2:
             raise ConfigError("max_tilt must lie in (0, pi/2)")
         if self.image_width < 8 or self.image_height < 8:
             raise ConfigError("image dimensions must be at least 8x8")
-        if self.tilt_tau <= 0.0:
-            raise ConfigError("tilt_tau must be > 0")
         if not 0.0 < self.lowlight_gain <= 1.0:
             raise ConfigError("lowlight_gain must lie in (0, 1]")
-        if self.lowlight_noise < 0.0 or self.wind_sigma < 0.0 or self.wind_rate < 0.0:
-            raise ConfigError("noise and wind parameters must be non-negative")
 
     @property
     def frame_dt(self) -> float:
@@ -175,8 +176,7 @@ def _hash01(i: np.ndarray, j: np.ndarray, seed: int) -> np.ndarray:
     # mapped to [0, 1) via the top 53 bits. Two's-complement views keep
     # negative cell indices well-defined (arithmetic is mod 2^64).
     seed_mix = np.uint64((seed * 0xD6E8FEB86659FD93) & 0xFFFFFFFFFFFFFFFF)
-    h = i.view(np.uint64) * _M1
-    h ^= j.view(np.uint64) * _M2
+    h = (i.view(np.uint64) * _M1) ^ (j.view(np.uint64) * _M2)
     h ^= seed_mix
     h ^= h >> np.uint64(30)
     h *= _F1
@@ -187,10 +187,17 @@ def _hash01(i: np.ndarray, j: np.ndarray, seed: int) -> np.ndarray:
 
 
 def _texture_grid(tex: GroundTexture, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    # One hash per cell of the index bounding box, then a gather per point.
     inv = 1.0 / tex.cell_size
     i = np.floor(wx * inv).astype(np.int64)
     j = np.floor(wy * inv).astype(np.int64)
-    vals = _hash01(i, j, tex.seed)
+    i0, i1, j0, j1 = int(i.min()), int(i.max()), int(j.min()), int(j.max())
+    if (i1 - i0 + 1) * (j1 - j0 + 1) <= np.broadcast(i, j).size:
+        cols = np.arange(i0, i1 + 1, dtype=np.int64)
+        rows = np.arange(j0, j1 + 1, dtype=np.int64)[:, None]
+        vals = _hash01(cols, rows, tex.seed)[j - j0, i - i0]
+    else:  # cells smaller than pixels: the table would outgrow the frame
+        vals = _hash01(i, j, tex.seed)
     if tex.blank_rect is not None:
         x0, y0, x1, y1 = tex.blank_rect
         mask = (wx >= x0) & (wx <= x1) & (wy >= y0) & (wy <= y1)
@@ -208,23 +215,33 @@ def render_frame(
 
     Pixel (u, v) maps to the world point pos + R(yaw) @ offset where
     offset = ((u - cx) * h/f, (v - cy) * h/f). Camera tilt is not
-    modeled. Low light applies clamp(gain * i + eta, 0, 1) with eta
-    drawn from ``rng`` (a fresh seeded stream when omitted).
+    modeled. Each ground cell in view is hashed once; at sin(yaw) == 0
+    world x depends on the column only and y on the row only. Low light
+    applies clamp(gain * i + eta, 0, 1) with eta drawn from ``rng`` (a
+    fresh seeded stream when omitted).
     """
     u = np.arange(cfg.image_width, dtype=np.float64) - (cfg.image_width // 2)
     v = (np.arange(cfg.image_height, dtype=np.float64) - (cfg.image_height // 2))[:, None]
     gsd = cfg.ground_sample_distance
     cos_y = math.cos(vehicle.yaw)
     sin_y = math.sin(vehicle.yaw)
-    wx = vehicle.x + gsd * (cos_y * u - sin_y * v)
-    wy = vehicle.y + gsd * (sin_y * u + cos_y * v)
+    if sin_y == 0.0:
+        # c*u - 0*v == c*u up to the sign of zero, which floor ignores.
+        wx = vehicle.x + gsd * (cos_y * u)
+        wy = vehicle.y + gsd * (cos_y * v)
+    else:
+        wx = vehicle.x + gsd * (cos_y * u - sin_y * v)
+        wy = vehicle.y + gsd * (sin_y * u + cos_y * v)
     vals = _texture_grid(tex, wx, wy)
     if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:
-        vals = vals * cfg.lowlight_gain
+        vals *= cfg.lowlight_gain
         if cfg.lowlight_noise > 0.0:
             if rng is None:
                 rng = np.random.Generator(np.random.Philox(key=tex.seed + 2))
-            vals = vals + rng.normal(0.0, cfg.lowlight_noise, vals.shape)
+            # Same values and stream position as rng.normal(0.0, s, shape).
+            eta = rng.standard_normal(vals.shape)
+            eta *= cfg.lowlight_noise
+            vals += eta
         np.clip(vals, 0.0, 1.0, out=vals)
     return GrayImage(vals)
 

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines. The long closed-loop episodes are computed once per
-session and shared across criteria.
+session and shared across criteria. Criteria that fly the long episodes
+are marked ``slow``; ``-m "not slow"`` skips them for a fast check.
 """
 
 import dataclasses
@@ -185,6 +186,7 @@ def test_criterion_4_pid_closed_form():
             assert abs(state.integral) <= gains.i_limit
 
 
+@pytest.mark.slow
 def test_criterion_5_closed_loop_equilibrium(calm60):
     with criterion(5, "closed-loop equilibrium"):
         _, _, report = calm60
@@ -208,6 +210,7 @@ def test_criterion_6_impulse_recovery():
                 assert err < 0.05, f"t={r.t}: {err:.3f} m from anchor"
 
 
+@pytest.mark.slow
 def test_criterion_7_outdoor_analog(outdoor300):
     with criterion(7, "outdoor analog"):
         rc, records, report, elapsed = outdoor300
@@ -217,6 +220,7 @@ def test_criterion_7_outdoor_analog(outdoor300):
         assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_8_indoor_analog(indoor300):
     with criterion(8, "indoor analog"):
         _, records, report = indoor300
@@ -225,6 +229,7 @@ def test_criterion_8_indoor_analog(indoor300):
         assert report.hold_diameter < 90.0
 
 
+@pytest.mark.slow
 def test_criterion_9_reacquisition_under_yaw(outdoor300):
     with criterion(9, "re-acquisition under yaw"):
         rc = load_run_config("outdoor")
@@ -252,6 +257,7 @@ def test_criterion_9_reacquisition_under_yaw(outdoor300):
                 assert roi.contains(x, y)
 
 
+@pytest.mark.slow
 def test_criterion_10_low_light():
     with criterion(10, "low light"):
         rc, records = episode("lowlight")
@@ -262,6 +268,7 @@ def test_criterion_10_low_light():
         assert report.two_sigma_radial <= 2.0 * base_report.two_sigma_radial
 
 
+@pytest.mark.slow
 def test_criterion_11_blind_behavior():
     with criterion(11, "blind behavior"):
         rc, records = episode("blind")

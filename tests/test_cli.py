@@ -160,6 +160,21 @@ class TestSimulateAndReport:
         assert code == 2
         assert "duration" in err
 
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("lk.window_radius=1", "lk: window_radius must be >= 2"),
+            ("detect.window_radius=0", "detect: window_radius must be >= 1"),
+            ("sim.gravity=-9.81", "sim: gravity must be > 0"),
+            ("gains.kp=-1", "gains: kp must be non-negative"),
+            ("tracker.min_alive=0", "tracker: min_alive must lie in"),
+        ],
+    )
+    def test_semantic_error_names_section(self, capsys, tmp_path, setting, message):
+        code, _, err = run_cli(capsys, "simulate", "--set", setting, "--out", str(tmp_path))
+        assert code == 2
+        assert f"error: {message}" in err
+
     @pytest.mark.parametrize("route", ["set", "config"])
     @pytest.mark.parametrize(
         "raw", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],

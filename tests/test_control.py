@@ -17,6 +17,12 @@ from flowhold.control import (
 )
 
 
+@pytest.mark.parametrize("field", ["kp", "ki", "kd", "i_limit", "out_limit"])
+def test_pid_gains_reject_nan(field):
+    with pytest.raises(ValueError, match=field):
+        PidGains(**{field: math.nan})
+
+
 class TestDisplacement:
     def test_center_is_zero(self):
         d = displacement_from_center((320.0, 240.0), 640, 480)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowhold.corners import (
@@ -14,11 +14,31 @@ from flowhold.corners import (
 )
 from flowhold.image import GrayImage
 
-from util import brute_detect, brute_response_map, square_fixture
+from util import brute_detect, brute_response_map, brute_select, square_fixture
+
+
+@st.composite
+def frames_and_rois(draw):
+    """A random frame, a window radius and a ROI that may touch any border."""
+    radius = draw(st.integers(1, 3))
+    need = 2 * radius + 3
+    h = draw(st.integers(need, 48))
+    w = draw(st.integers(need, 48))
+    x = draw(st.sampled_from([0, w - 1]) | st.integers(0, w - 1))
+    y = draw(st.sampled_from([0, h - 1]) | st.integers(0, h - 1))
+    rw = draw(st.sampled_from([1, w - x]) | st.integers(1, w - x))
+    rh = draw(st.sampled_from([1, h - y]) | st.integers(1, h - y))
+    return draw(st.integers(0, 10_000)), (h, w), Rect(x, y, rw, rh), radius
 
 
 def min_eig(a, b, c):
     return float(min_eigenvalue(np.array([a]), np.array([b]), np.array([c]))[0])
+
+
+@pytest.mark.parametrize("field", ["quality_level", "min_distance"])
+def test_detect_params_reject_nan(field):
+    with pytest.raises(ValueError, match=field):
+        DetectParams(**{field: math.nan})
 
 
 class TestMinEigenvalue:
@@ -131,6 +151,23 @@ class TestDetectCorners:
         assert [(c.x, c.y) for c in plain] == [(c.x, c.y) for c in scaled]
         for p, s in zip(plain, scaled):
             assert s.response == pytest.approx(4.0 * p.response, rel=1e-9)
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=frames_and_rois())
+    @example(case=(3, (120, 160), Rect(0, 0, 1, 1), 3))
+    @example(case=(4, (40, 48), Rect(47, 39, 1, 1), 1))
+    @example(case=(5, (9, 9), Rect(0, 0, 9, 9), 3))
+    def test_roi_cut_equals_full_frame_response(self, case):
+        # detect_corners computes the response on a frame cut below and
+        # right of the ROI; its picks must equal those a full-frame
+        # response map gives, response values included, bit for bit.
+        seed, shape, roi, radius = case
+        rng = np.random.default_rng(seed)
+        img = GrayImage(rng.uniform(0, 1, shape))
+        params = DetectParams(max_corners=6, quality_level=0.05, min_distance=3.0,
+                              window_radius=radius)
+        want = brute_select(response_map(img, radius), roi, params)
+        assert detect_corners(img, roi, params) == want
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000))

@@ -7,6 +7,12 @@ from flowhold.image import GrayImage
 from util import smooth_texture, ssd_best_shift
 
 
+@pytest.mark.parametrize("field", ["epsilon", "min_eigen_threshold", "residual_cap"])
+def test_lk_params_reject_nan(field):
+    with pytest.raises(ValueError, match=field):
+        LkParams(**{field: float("nan")})
+
+
 def seeded_points(width, height, count, margin, seed=5):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(margin, width - 1 - margin, count)

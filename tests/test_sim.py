@@ -19,10 +19,31 @@ from flowhold.sim import (
 )
 from flowhold.telemetry import dispersion_stats, write_csv
 
+from util import brute_render
+
 
 def texture_at(tex, x, y):
     """Ground intensity at one world point, through the vectorized texture lookup."""
     return float(_texture_grid(tex, np.array([x]), np.array([y]))[0])
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "physics_dt", "camera_rate", "altitude", "focal_px", "tilt_tau", "drag_coeff",
+        "gravity", "max_tilt", "wind_sigma", "wind_rate", "lowlight_gain",
+        "lowlight_noise", "yaw_rate", "cell_size", "duration", "frame_size_cm",
+        "settle_time", "start_x", "start_y",
+    ],
+)
+def test_sim_config_rejects_nan(field):
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(**{field: math.nan})
+
+
+def test_ground_texture_rejects_nan_cell_size():
+    with pytest.raises(ValueError, match="cell_size"):
+        GroundTexture(seed=1, cell_size=math.nan)
 
 
 class TestTexture:
@@ -113,6 +134,49 @@ class TestRenderFrame:
         shifts = [r.point[0] - p[0] for p, r in zip(pts, results) if r.tracked]
         assert len(shifts) >= 5
         assert abs(np.median(shifts) + 3.0) <= 0.2
+
+
+RENDER_YAWS = [0.0, -0.0, 1e-300, 0.15, math.pi, -2.5]
+
+
+def _render_scene(scene):
+    """(config, texture) pairs that reach each branch of the render."""
+    if scene == "lowlight":
+        cfg = SimConfig(texture_seed=9, cell_size=0.125, lowlight_gain=0.25, lowlight_noise=0.02)
+    elif scene == "cells_finer_than_pixels":
+        cfg = SimConfig(texture_seed=9, cell_size=1e-3 / 1.7)
+    else:
+        cfg = SimConfig(texture_seed=9, cell_size=0.125, blank_ground=scene == "blank_ground")
+    tex = cfg.make_texture()
+    if scene == "blank_rect":
+        # Edges off the 0.125 m grid and inside the view near the origin.
+        tex = GroundTexture(seed=9, cell_size=0.125, blank_rect=(-0.31, -0.2037, 0.173, 0.0911))
+    return cfg, tex
+
+
+class TestRenderOracle:
+    @pytest.mark.parametrize("yaw", RENDER_YAWS, ids=repr)
+    @pytest.mark.parametrize(
+        "scene", ["plain", "blank_rect", "blank_ground", "lowlight", "cells_finer_than_pixels"]
+    )
+    def test_matches_per_pixel_hash(self, scene, yaw):
+        cfg, tex = _render_scene(scene)
+        rng = np.random.default_rng(5)
+        positions = [(0.0, 0.0), (0.25, -0.125)]  # cell edges through the centre pixel
+        positions += [tuple(rng.uniform(-0.3, 0.3, 2)) for _ in range(2)]
+        positions += [tuple(rng.uniform(-5e3, 5e3, 2))]
+        ours = np.random.Generator(np.random.Philox(key=77))
+        theirs = np.random.Generator(np.random.Philox(key=77))
+        frames = []
+        for x, y in positions:
+            vehicle = VehicleState(x=x, y=y, yaw=yaw)
+            frames.append(render_frame(tex, vehicle, cfg, ours).pixels)
+            want = brute_render(tex, vehicle, cfg, theirs)
+            assert frames[-1].shape == want.shape
+            assert frames[-1].tobytes() == want.tobytes()
+            assert ours.random() == theirs.random()
+        if scene == "blank_rect":
+            assert 0.1 < np.mean(frames[0] == 0.5) < 0.9  # the rect's edges are in view
 
 
 class TestWind:

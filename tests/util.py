@@ -2,15 +2,19 @@
 
 The oracles deliberately avoid the library's vectorized code paths:
 gradients by direct kernel loops with clamped indices, window sums by
-explicit offset loops, eigenvalues by numpy's symmetric eigensolver.
+explicit offset loops, eigenvalues by numpy's symmetric eigensolver,
+rendering by hashing every pixel's cell on full-frame coordinates.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from flowhold.corners import Corner, DetectParams, Rect
 from flowhold.image import GrayImage
+from flowhold.sim import GroundTexture, SimConfig, VehicleState, _hash01
 
 SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64) / 8.0
 SOBEL_Y = SOBEL_X.T
@@ -55,7 +59,11 @@ def brute_response_map(image: GrayImage, window_radius: int) -> np.ndarray:
 
 def brute_detect(image: GrayImage, roi: Rect, params: DetectParams) -> list[Corner]:
     """Straight-line re-implementation of threshold + greedy suppression."""
-    resp = brute_response_map(image, params.window_radius)
+    return brute_select(brute_response_map(image, params.window_radius), roi, params)
+
+
+def brute_select(resp: np.ndarray, roi: Rect, params: DetectParams) -> list[Corner]:
+    """Threshold + greedy suppression over a full-frame response map."""
     candidates = []
     peak = 0.0
     for y in range(roi.y, roi.y + roi.h):
@@ -79,6 +87,41 @@ def brute_detect(image: GrayImage, roi: Rect, params: DetectParams) -> list[Corn
         if ok:
             picked.append(Corner(x=x, y=y, response=-neg))
     return picked
+
+
+def brute_render(
+    tex: GroundTexture,
+    vehicle: VehicleState,
+    cfg: SimConfig,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Render by hashing every pixel: per-pixel floor, hash, blank mask, low light.
+
+    World coordinates are full (height, width) arrays from the rotation
+    formula; low-light noise is drawn with ``rng.normal``.
+    """
+    h, w = cfg.image_height, cfg.image_width
+    v, u = np.mgrid[0:h, 0:w].astype(np.float64)
+    u -= w // 2
+    v -= h // 2
+    gsd = cfg.ground_sample_distance
+    cos_y, sin_y = math.cos(vehicle.yaw), math.sin(vehicle.yaw)
+    wx = vehicle.x + gsd * (cos_y * u - sin_y * v)
+    wy = vehicle.y + gsd * (sin_y * u + cos_y * v)
+    inv = 1.0 / tex.cell_size
+    i = np.floor(wx * inv).astype(np.int64)
+    j = np.floor(wy * inv).astype(np.int64)
+    vals = _hash01(i, j, tex.seed)
+    if tex.blank_rect is not None:
+        x0, y0, x1, y1 = tex.blank_rect
+        blank = (wx >= x0) & (wx <= x1) & (wy >= y0) & (wy <= y1)
+        vals[blank] = 0.5
+    if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:
+        vals = vals * cfg.lowlight_gain
+        if cfg.lowlight_noise > 0.0:
+            vals = vals + rng.normal(0.0, cfg.lowlight_noise, vals.shape)
+        vals = np.clip(vals, 0.0, 1.0)
+    return vals
 
 
 def smooth_texture(width: int, height: int, shift=(0.0, 0.0), seed: int = 0) -> GrayImage:
