@@ -18,7 +18,7 @@ from flowhold.corners import DetectParams, Rect, detect_corners
 from flowhold.flow import LkParams, build_pyramid, track_points
 from flowhold.image import GrayImage, PgmError, load_pgm, save_pgm
 from flowhold.sim import run_episode
-from flowhold.tracker import center_roi
+from flowhold.tracker import center_roi, inside_lk_margin
 
 _D = DetectParams()
 _L = LkParams()
@@ -134,12 +134,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
         detected = detect_corners(
             prev, Rect(0, 0, prev.width, prev.height), DetectParams()
         )
-        margin = params.window_radius + 1
         points = [
             (float(c.x), float(c.y))
-            for c in detected
-            if margin <= c.x <= prev.width - 1 - margin
-            and margin <= c.y <= prev.height - 1 - margin
+            for c in inside_lk_margin(detected, prev.width, prev.height, params)
         ]
     else:
         points = []

@@ -30,17 +30,10 @@ class Displacement:
 
     x: float
     y: float
-    d: float | None = None
 
-    def __post_init__(self) -> None:
-        d = self.d
-        if d is None:
-            object.__setattr__(self, "d", math.hypot(self.x, self.y))
-        else:
-            if d < 0.0:
-                raise ValueError("d must be non-negative")
-            if abs(d * d - (self.x * self.x + self.y * self.y)) > 1e-9 * max(1.0, d * d):
-                raise ValueError("d^2 must equal x^2 + y^2")
+    @property
+    def d(self) -> float:
+        return math.hypot(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -59,9 +52,9 @@ class PidGains:
 
     def __post_init__(self) -> None:
         for name in ("kp", "ki", "kd", "i_limit"):
-            if not getattr(self, name) >= 0.0:  # NaN fails too
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN and inf fail too
                 raise ValueError(f"{name} must be non-negative")
-        if not self.out_limit > 0.0:
+        if not 0.0 < self.out_limit < math.inf:
             raise ValueError("out_limit must be > 0")
 
 

@@ -15,6 +15,7 @@ origin of the window-sum prefix sums, where a top or left cut would not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ class DetectParams:
             raise ValueError("max_corners must be >= 1")
         if not 0.0 < self.quality_level <= 1.0:
             raise ValueError("quality_level must lie in (0, 1]")
-        if not self.min_distance >= 0.0:  # NaN fails too
+        if not 0.0 <= self.min_distance < math.inf:  # NaN and inf fail too
             raise ValueError("min_distance must be >= 0")
         if self.window_radius < 1:
             raise ValueError("window_radius must be >= 1")

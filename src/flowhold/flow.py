@@ -11,6 +11,7 @@ rim. The flow estimate doubles when moving up a level.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ class LkParams:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         for name in ("epsilon", "min_eigen_threshold", "residual_cap"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN and inf fail too
                 raise ValueError(f"{name} must be > 0")
 
 

@@ -8,6 +8,7 @@ only; callers that want same-size gradients pad their input first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,10 @@ class GrayImage:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError(f"pixels must be a non-empty 2-d array, got shape {px.shape}")
-        if not np.isfinite(px).all():
-            raise ValueError("pixel intensities must be finite")
+        # min and max return NaN if any pixel is NaN, +-inf if one is infinite.
         lo, hi = float(px.min()), float(px.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("pixel intensities must be finite")
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"pixel intensities must lie in [0, 1], got range [{lo}, {hi}]")
         px.setflags(write=False)

@@ -11,7 +11,7 @@ substeps in between, and is bit-reproducible from its config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from flowhold.flow import build_pyramid
 from flowhold.image import GrayImage
 from flowhold.telemetry import FrameRecord
 from flowhold.tracker import (
-    Blind,
     FeatureLost,
     Reacquired,
     TrackerConfig,
@@ -72,17 +71,15 @@ class GroundTexture:
     """Piecewise-constant cell texture from a stateless integer hash.
 
     Every cell junction is a corner, so the detector always has
-    structure to latch onto. blank_rect (world meters, inclusive
-    x0, y0, x1, y1) overrides the hash with a flat 0.5 region for the
-    featureless-ground scenario.
+    structure to latch onto. Featureless ground is not a texture: it is
+    decided by ``SimConfig.blank_ground``, which ``render_frame`` reads.
     """
 
     seed: int
     cell_size: float = 0.25
-    blank_rect: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not self.cell_size > 0.0:
+        if not 0.0 < self.cell_size < math.inf:
             raise ValueError("cell_size must be > 0")
 
 
@@ -121,15 +118,16 @@ class SimConfig:
     start_y: float = 0.0
 
     def __post_init__(self) -> None:
-        # Each check passes only on a valid value, so NaN fails them all.
+        # Each check passes only on a finite valid value, so NaN and
+        # infinities fail them all.
         for name in (
             "altitude", "focal_px", "camera_rate", "duration", "physics_dt",
             "gravity", "cell_size", "frame_size_cm", "tilt_tau",
         ):
-            if not getattr(self, name) > 0.0:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be > 0")
         for name in ("drag_coeff", "settle_time", "lowlight_noise", "wind_sigma", "wind_rate"):
-            if not getattr(self, name) >= 0.0:
+            if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("yaw_rate", "start_x", "start_y"):
             if not math.isfinite(getattr(self, name)):
@@ -160,9 +158,7 @@ class SimConfig:
         return self.altitude / self.focal_px
 
     def make_texture(self) -> GroundTexture:
-        inf = math.inf
-        rect = (-inf, -inf, inf, inf) if self.blank_ground else None
-        return GroundTexture(seed=self.texture_seed, cell_size=self.cell_size, blank_rect=rect)
+        return GroundTexture(seed=self.texture_seed, cell_size=self.cell_size)
 
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
@@ -195,14 +191,9 @@ def _texture_grid(tex: GroundTexture, wx: np.ndarray, wy: np.ndarray) -> np.ndar
     if (i1 - i0 + 1) * (j1 - j0 + 1) <= np.broadcast(i, j).size:
         cols = np.arange(i0, i1 + 1, dtype=np.int64)
         rows = np.arange(j0, j1 + 1, dtype=np.int64)[:, None]
-        vals = _hash01(cols, rows, tex.seed)[j - j0, i - i0]
-    else:  # cells smaller than pixels: the table would outgrow the frame
-        vals = _hash01(i, j, tex.seed)
-    if tex.blank_rect is not None:
-        x0, y0, x1, y1 = tex.blank_rect
-        mask = (wx >= x0) & (wx <= x1) & (wy >= y0) & (wy <= y1)
-        vals = np.where(mask, 0.5, vals)
-    return vals
+        return _hash01(cols, rows, tex.seed)[j - j0, i - i0]
+    # Cells smaller than pixels: the table would outgrow the frame.
+    return _hash01(i, j, tex.seed)
 
 
 def render_frame(
@@ -216,23 +207,28 @@ def render_frame(
     Pixel (u, v) maps to the world point pos + R(yaw) @ offset where
     offset = ((u - cx) * h/f, (v - cy) * h/f). Camera tilt is not
     modeled. Each ground cell in view is hashed once; at sin(yaw) == 0
-    world x depends on the column only and y on the row only. Low light
-    applies clamp(gain * i + eta, 0, 1) with eta drawn from ``rng`` (a
-    fresh seeded stream when omitted).
+    world x depends on the column only and y on the row only. This is
+    where blank ground is decided: with ``cfg.blank_ground`` set the
+    frame is a flat 0.5 and ``tex`` is not read. Low light applies
+    clamp(gain * i + eta, 0, 1) with eta drawn from ``rng`` (a fresh
+    seeded stream when omitted).
     """
-    u = np.arange(cfg.image_width, dtype=np.float64) - (cfg.image_width // 2)
-    v = (np.arange(cfg.image_height, dtype=np.float64) - (cfg.image_height // 2))[:, None]
-    gsd = cfg.ground_sample_distance
-    cos_y = math.cos(vehicle.yaw)
-    sin_y = math.sin(vehicle.yaw)
-    if sin_y == 0.0:
-        # c*u - 0*v == c*u up to the sign of zero, which floor ignores.
-        wx = vehicle.x + gsd * (cos_y * u)
-        wy = vehicle.y + gsd * (cos_y * v)
+    if cfg.blank_ground:
+        vals = np.full((cfg.image_height, cfg.image_width), 0.5)
     else:
-        wx = vehicle.x + gsd * (cos_y * u - sin_y * v)
-        wy = vehicle.y + gsd * (sin_y * u + cos_y * v)
-    vals = _texture_grid(tex, wx, wy)
+        u = np.arange(cfg.image_width, dtype=np.float64) - (cfg.image_width // 2)
+        v = (np.arange(cfg.image_height, dtype=np.float64) - (cfg.image_height // 2))[:, None]
+        gsd = cfg.ground_sample_distance
+        cos_y = math.cos(vehicle.yaw)
+        sin_y = math.sin(vehicle.yaw)
+        if sin_y == 0.0:
+            # c*u - 0*v == c*u up to the sign of zero, which floor ignores.
+            wx = vehicle.x + gsd * (cos_y * u)
+            wy = vehicle.y + gsd * (cos_y * v)
+        else:
+            wx = vehicle.x + gsd * (cos_y * u - sin_y * v)
+            wy = vehicle.y + gsd * (sin_y * u + cos_y * v)
+        vals = _texture_grid(tex, wx, wy)
     if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:
         vals *= cfg.lowlight_gain
         if cfg.lowlight_noise > 0.0:
@@ -310,7 +306,7 @@ def step_dynamics(
 
 def run_episode(
     cfg: SimConfig,
-    gains: PidGains | tuple[PidGains, PidGains] | None = None,
+    gains: PidGains | None = None,
     tracker_cfg: TrackerConfig | None = None,
     *,
     on_tick=None,
@@ -328,10 +324,6 @@ def run_episode(
     substeps = cfg.substeps  # validates divisibility before anything runs
     if gains is None:
         gains = PidGains()
-    if isinstance(gains, PidGains):
-        roll_gains = pitch_gains = gains
-    else:
-        roll_gains, pitch_gains = gains
     if tracker_cfg is None:
         tracker_cfg = TrackerConfig()
 
@@ -339,7 +331,7 @@ def run_episode(
     wind_rng = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 1))
     noise_rng = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 2))
 
-    controller = PositionHoldController(roll_gains, pitch_gains)
+    controller = PositionHoldController(gains)
     vehicle = VehicleState(x=cfg.start_x, y=cfg.start_y)
     wind = WindState()
     frame_dt = cfg.frame_dt
@@ -366,8 +358,6 @@ def run_episode(
                     flags.add("feature_lost")
                 elif isinstance(ev, Reacquired):
                     flags.add("reacquired")
-                elif isinstance(ev, Blind):
-                    flags.add("blind")
         if state.blind:
             flags.add("blind")
         if on_tick is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from flowhold.control import Displacement, displacement_from_center
-from flowhold.corners import DetectParams, Rect, detect_corners
+from flowhold.corners import Corner, DetectParams, Rect, detect_corners
 from flowhold.flow import FlowStatus, LkParams, Pyramid, build_pyramid, track_points
 from flowhold.image import GrayImage
 
@@ -29,6 +29,7 @@ __all__ = [
     "advance",
     "best_displacement",
     "center_roi",
+    "inside_lk_margin",
 ]
 
 
@@ -49,12 +50,11 @@ class TrackedFeature:
     position: tuple[float, float]
     init_response: float
     age: int = 0
-    alive: bool = True
 
 
 @dataclass(frozen=True)
 class TrackerState:
-    """Snapshot of the feature set between frames; replaced by advance()."""
+    """Snapshot of the live feature set between frames; replaced by advance()."""
 
     width: int
     height: int
@@ -64,12 +64,9 @@ class TrackerState:
     blind: bool
     next_id: int
 
-    def alive_features(self) -> tuple[TrackedFeature, ...]:
-        return tuple(f for f in self.features if f.alive)
-
     @property
     def n_alive(self) -> int:
-        return sum(1 for f in self.features if f.alive)
+        return len(self.features)
 
 
 @dataclass(frozen=True)
@@ -98,11 +95,25 @@ def center_roi(width: int, height: int) -> Rect:
     return Rect(x=width // 4, y=height // 4, w=width // 2, h=height // 2)
 
 
+def inside_lk_margin(
+    corners: list[Corner], width: int, height: int, lk: LkParams
+) -> list[Corner]:
+    """The corners at least lk.window_radius + 1 px from every border.
+
+    track_points rejects any start point closer to a border than that.
+    """
+    margin = lk.window_radius + 1
+    return [
+        c
+        for c in corners
+        if margin <= c.x <= width - 1 - margin and margin <= c.y <= height - 1 - margin
+    ]
+
+
 def _select_best(
     features: tuple[TrackedFeature, ...], width: int, height: int
 ) -> int | None:
-    alive = [f for f in features if f.alive]
-    if not alive:
+    if not features:
         return None
     cx, cy = float(width // 2), float(height // 2)
 
@@ -111,7 +122,7 @@ def _select_best(
         dy = f.position[1] - cy
         return (-f.init_response, dx * dx + dy * dy, f.id)
 
-    return min(alive, key=key).id
+    return min(features, key=key).id
 
 
 def acquire(
@@ -123,14 +134,9 @@ def acquire(
     downstream control must hold attitude neutral.
     """
     roi = center_roi(image.width, image.height)
-    corners = detect_corners(image, roi, config.detect)
-    margin = config.lk.window_radius + 1
-    corners = [
-        c
-        for c in corners
-        if margin <= c.x <= image.width - 1 - margin
-        and margin <= c.y <= image.height - 1 - margin
-    ]
+    corners = inside_lk_margin(
+        detect_corners(image, roi, config.detect), image.width, image.height, config.lk
+    )
     features = tuple(
         TrackedFeature(
             id=next_id + i,
@@ -159,13 +165,14 @@ def advance(
     prev_pyramid: Pyramid | None = None,
     next_pyramid: Pyramid | None = None,
 ) -> tuple[TrackerState, list[TrackerEvent]]:
-    """Track every alive feature from ``prev`` into ``next_``.
+    """Track every feature from ``prev`` into ``next_``.
 
-    Survivors keep their ids and age; losses are reported as events. If
-    the best feature died, the next best survivor takes over on the
-    same frame. If fewer than min_alive survive, the entire set is
-    replaced by a fresh acquisition on ``next_`` (Reacquired event);
-    dropping to zero alive features additionally reports Blind.
+    Survivors keep their ids and age; losses leave the set and are
+    reported as events. If the best feature died, the next best
+    survivor takes over on the same frame. If fewer than min_alive
+    survive, the entire set is replaced by a fresh acquisition on
+    ``next_`` (Reacquired event); dropping to zero features
+    additionally reports Blind.
 
     Pre-built pyramids for either frame may be passed to avoid
     recomputation in a streaming loop.
@@ -178,28 +185,22 @@ def advance(
             )
 
     events: list[TrackerEvent] = []
-    alive = state.alive_features()
     survivors: list[TrackedFeature] = []
-    updated: list[TrackedFeature] = []
-    if alive:
+    if state.features:
         if prev_pyramid is None:
             prev_pyramid = build_pyramid(prev, config.lk.pyramid_levels)
         if next_pyramid is None:
             next_pyramid = build_pyramid(next_, config.lk.pyramid_levels)
-        points = np.asarray([f.position for f in alive], dtype=np.float64)
+        points = np.asarray([f.position for f in state.features], dtype=np.float64)
         results = track_points(prev_pyramid, next_pyramid, points, config.lk)
-        for feat, res in zip(alive, results):
+        for feat, res in zip(state.features, results):
             if res.tracked:
-                kept = replace(feat, position=res.point, age=feat.age + 1)
-                survivors.append(kept)
-                updated.append(kept)
+                survivors.append(replace(feat, position=res.point, age=feat.age + 1))
             else:
-                updated.append(replace(feat, alive=False))
                 events.append(FeatureLost(feature_id=feat.id, reason=res.status))
-    dead = tuple(f for f in state.features if not f.alive)
-    features = tuple(updated) + dead
+    features = tuple(survivors)
 
-    if len(survivors) < config.min_alive:
+    if len(features) < config.min_alive:
         new_state = acquire(
             next_, config, generation=state.generation, next_id=state.next_id
         )
@@ -209,7 +210,7 @@ def advance(
         return new_state, events
 
     best_id = state.best_id
-    if best_id is not None and not any(f.id == best_id for f in survivors):
+    if best_id is not None and not any(f.id == best_id for f in features):
         best_id = _select_best(features, state.width, state.height)
     new_state = TrackerState(
         width=state.width,
@@ -230,6 +231,6 @@ def best_displacement(
     if state.best_id is None:
         return None
     for f in state.features:
-        if f.id == state.best_id and f.alive:
+        if f.id == state.best_id:
             return displacement_from_center(f.position, width, height)
     return None

@@ -241,7 +241,7 @@ def test_criterion_9_reacquisition_under_yaw(outdoor300):
         def on_tick(k, state):
             if seen["generation"] is not None and state.generation > seen["generation"]:
                 reacquired_positions.append(
-                    [f.position for f in state.features if f.alive]
+                    [f.position for f in state.features]
                 )
             seen["generation"] = state.generation
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from flowhold.cli import main
-from flowhold.image import GrayImage, save_pgm
+from flowhold.corners import DetectParams, Rect, detect_corners
+from flowhold.flow import LkParams
+from flowhold.image import GrayImage, load_pgm, save_pgm
 from flowhold.telemetry import CSV_HEADER
 
 from util import smooth_texture, square_fixture
@@ -110,6 +112,29 @@ class TestFlow:
         for l in tracked:
             assert float(l[3]) - float(l[0]) == pytest.approx(3.0, abs=0.25)
             assert float(l[4]) - float(l[1]) == pytest.approx(0.0, abs=0.25)
+
+    def test_auto_skips_corners_near_border(self, capsys, tmp_path):
+        # A block at the top-left corner gives a strong corner at (3, 3),
+        # too close to the border for an LK window; it must be skipped,
+        # not handed to track_points (which raises on it).
+        px = np.full((64, 64), 0.1)
+        px[2:9, 2:9] = 0.9
+        px[24:40, 24:40] = 0.9
+        a = tmp_path / "a.pgm"
+        a.write_bytes(save_pgm(GrayImage(px)))
+        detected = detect_corners(load_pgm(a.read_bytes()), Rect(0, 0, 64, 64), DetectParams())
+        margin = LkParams().window_radius + 1
+        inside = [
+            (c.x, c.y)
+            for c in detected
+            if margin <= c.x <= 63 - margin and margin <= c.y <= 63 - margin
+        ]
+        assert (3, 3) in [(c.x, c.y) for c in detected]
+        assert inside
+        code, out, _ = run_cli(capsys, "flow", str(a), str(a), "--auto")
+        assert code == 0
+        starts = [tuple(int(v) for v in l.split()[:2]) for l in out.strip().splitlines()]
+        assert starts == inside
 
     def test_flat_region_ill_conditioned(self, capsys, flat_pgm):
         code, out, _ = run_cli(

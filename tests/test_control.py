@@ -23,6 +23,12 @@ def test_pid_gains_reject_nan(field):
         PidGains(**{field: math.nan})
 
 
+@pytest.mark.parametrize("field", ["kp", "ki", "kd", "i_limit", "out_limit"])
+def test_pid_gains_reject_inf(field):
+    with pytest.raises(ValueError, match=field):
+        PidGains(**{field: math.inf})
+
+
 class TestDisplacement:
     def test_center_is_zero(self):
         d = displacement_from_center((320.0, 240.0), 640, 480)
@@ -44,10 +50,6 @@ class TestDisplacement:
     def test_out_of_bounds_is_argument_error(self):
         with pytest.raises(ValueError):
             displacement_from_center((640.0, 100.0), 640, 480)
-
-    def test_explicit_d_must_be_consistent(self):
-        with pytest.raises(ValueError):
-            Displacement(x=3.0, y=4.0, d=6.0)
 
     @settings(deadline=None, max_examples=200)
     @given(

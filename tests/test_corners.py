@@ -41,6 +41,12 @@ def test_detect_params_reject_nan(field):
         DetectParams(**{field: math.nan})
 
 
+@pytest.mark.parametrize("field", ["quality_level", "min_distance"])
+def test_detect_params_reject_inf(field):
+    with pytest.raises(ValueError, match=field):
+        DetectParams(**{field: math.inf})
+
+
 class TestMinEigenvalue:
     def test_isotropic(self):
         assert min_eig(2.0, 0.0, 2.0) == 2.0

@@ -13,6 +13,12 @@ def test_lk_params_reject_nan(field):
         LkParams(**{field: float("nan")})
 
 
+@pytest.mark.parametrize("field", ["epsilon", "min_eigen_threshold", "residual_cap"])
+def test_lk_params_reject_inf(field):
+    with pytest.raises(ValueError, match=field):
+        LkParams(**{field: float("inf")})
+
+
 def seeded_points(width, height, count, margin, seed=5):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(margin, width - 1 - margin, count)

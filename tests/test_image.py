@@ -19,10 +19,15 @@ def pgm_bytes(width, height, maxval, payload):
 
 class TestGrayImage:
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             GrayImage(np.array([[0.0, 1.2]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             GrayImage(np.array([[-0.1, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            GrayImage(np.array([[0.5, bad], [0.25, 0.75]]))
 
     def test_rejects_empty_and_wrong_ndim(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowhold.corners import DetectParams, detect_corners
+from flowhold.corners import Corner, DetectParams, detect_corners
 from flowhold.flow import LkParams
 from flowhold.image import GrayImage
 from flowhold.sim import GroundTexture, SimConfig, VehicleState, render_frame
@@ -14,6 +16,7 @@ from flowhold.tracker import (
     advance,
     best_displacement,
     center_roi,
+    inside_lk_margin,
 )
 
 from util import smooth_texture
@@ -51,6 +54,15 @@ class TestCenterRoi:
             center_roi(3, 10)
 
 
+class TestInsideLkMargin:
+    def test_margin_is_inclusive(self):
+        lk = LkParams(window_radius=5)  # margin 6; the last kept index is 64 - 1 - 6
+        corners = [Corner(x=x, y=30, response=1.0) for x in (5, 6, 57, 58)]
+        corners += [Corner(x=30, y=y, response=1.0) for y in (5, 6, 57, 58)]
+        kept = inside_lk_margin(corners, 64, 64, lk)
+        assert [(c.x, c.y) for c in kept] == [(6, 30), (57, 30), (30, 6), (30, 57)]
+
+
 class TestAcquire:
     def test_textured_frame_yields_center_features(self):
         frame, _ = textured_frame()
@@ -58,7 +70,7 @@ class TestAcquire:
         state = acquire(frame, config)
         assert 10 <= state.n_alive <= 20
         roi = center_roi(frame.width, frame.height)
-        for f in state.alive_features():
+        for f in state.features:
             assert roi.contains(*f.position)
         expected = detect_corners(frame, roi, config.detect)
         best = max(expected, key=lambda c: c.response)
@@ -88,7 +100,7 @@ class TestAcquire:
         state = acquire(image, config)
         assert state.n_alive == 1
         roi = center_roi(64, 64)
-        assert roi.contains(*state.alive_features()[0].position)
+        assert roi.contains(*state.features[0].position)
 
 
 class TestAdvance:
@@ -100,7 +112,7 @@ class TestAdvance:
         assert events == []
         assert new_state.n_alive == state.n_alive
         assert new_state.generation == state.generation
-        for old, new in zip(state.alive_features(), new_state.alive_features()):
+        for old, new in zip(state.features, new_state.features):
             assert new.position == old.position
             assert new.age == old.age + 1
 
@@ -112,8 +124,8 @@ class TestAdvance:
         state = acquire(frame_a, config)
         new_state, _ = advance(state, frame_a, frame_b, config)
         assert new_state.best_id == state.best_id
-        before = {f.id: f.position for f in state.alive_features()}
-        moved = [f for f in new_state.alive_features() if f.id in before]
+        before = {f.id: f.position for f in state.features}
+        moved = [f for f in new_state.features if f.id in before]
         assert len(moved) >= state.n_alive - 1
         for f in moved:
             dx = f.position[0] - before[f.id][0]
@@ -178,7 +190,7 @@ class TestAdvance:
         for _ in range(2):
             state = acquire(frame_a, config)
             state, _ = advance(state, frame_a, frame_b, config)
-            runs.append([(f.id, f.position, f.alive) for f in state.features])
+            runs.append([(f.id, f.position, f.age) for f in state.features])
         assert runs[0] == runs[1]
 
 
@@ -190,7 +202,7 @@ class TestBestDisplacement:
         feats = tuple(
             f if f.id != state.best_id else type(f)(
                 id=f.id, position=(320.0, 240.0), init_response=f.init_response,
-                age=f.age, alive=f.alive,
+                age=f.age,
             )
             for f in state.features
         )
@@ -208,7 +220,7 @@ class TestBestDisplacement:
         feats = tuple(
             f if f.id != state.best_id else type(f)(
                 id=f.id, position=(480.0, 120.0), init_response=f.init_response,
-                age=f.age, alive=f.alive,
+                age=f.age,
             )
             for f in state.features
         )
@@ -223,3 +235,47 @@ class TestBestDisplacement:
     def test_blind_returns_none(self):
         state = acquire(GrayImage.full(64, 64, 0.5), small_config())
         assert best_displacement(state, 64, 64) is None
+
+
+def assert_invariants(state, config):
+    margin = config.lk.window_radius + 1
+    for f in state.features:
+        x, y = f.position
+        assert margin <= x <= state.width - 1 - margin
+        assert margin <= y <= state.height - 1 - margin
+    ids = [f.id for f in state.features]
+    assert len(set(ids)) == len(ids)
+    assert state.best_id is None or state.best_id in ids
+    assert state.n_alive == len(state.features)
+    assert state.blind == (not state.features)
+
+
+class TestInvariants:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 1_000),
+        steps=st.lists(
+            st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), min_size=1, max_size=4
+        ),
+        blank_at=st.integers(-1, 4),
+        min_alive=st.integers(1, 8),
+    )
+    def test_hold_after_every_call(self, seed, steps, blank_at, min_alive):
+        # The camera drifts over one texture by real-valued steps of up
+        # to 4 px per axis; frame blank_at (if in range) is featureless.
+        config = TrackerConfig(
+            detect=DetectParams(max_corners=8, min_distance=6.0),
+            lk=LkParams(window_radius=5, pyramid_levels=2),
+            min_alive=min_alive,
+        )
+        offsets = np.cumsum([(0.0, 0.0)] + steps, axis=0)
+        frames = [
+            GrayImage.full(64, 64, 0.5) if k == blank_at
+            else smooth_texture(64, 64, shift=tuple(o), seed=seed)
+            for k, o in enumerate(offsets)
+        ]
+        state = acquire(frames[0], config)
+        assert_invariants(state, config)
+        for prev, next_ in zip(frames, frames[1:]):
+            state, _ = advance(state, prev, next_, config)
+            assert_invariants(state, config)

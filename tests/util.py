@@ -95,10 +95,11 @@ def brute_render(
     cfg: SimConfig,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Render by hashing every pixel: per-pixel floor, hash, blank mask, low light.
+    """Render by hashing every pixel: per-pixel floor, hash, blank ground, low light.
 
     World coordinates are full (height, width) arrays from the rotation
-    formula; low-light noise is drawn with ``rng.normal``.
+    formula; blank ground sets every pixel to 0.5 after hashing; low-light
+    noise is drawn with ``rng.normal``.
     """
     h, w = cfg.image_height, cfg.image_width
     v, u = np.mgrid[0:h, 0:w].astype(np.float64)
@@ -112,10 +113,8 @@ def brute_render(
     i = np.floor(wx * inv).astype(np.int64)
     j = np.floor(wy * inv).astype(np.int64)
     vals = _hash01(i, j, tex.seed)
-    if tex.blank_rect is not None:
-        x0, y0, x1, y1 = tex.blank_rect
-        blank = (wx >= x0) & (wx <= x1) & (wy >= y0) & (wy <= y1)
-        vals[blank] = 0.5
+    if cfg.blank_ground:
+        vals[:] = 0.5
     if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:
         vals = vals * cfg.lowlight_gain
         if cfg.lowlight_noise > 0.0:
