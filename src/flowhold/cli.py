@@ -31,6 +31,14 @@ def _read_pgm(path: str) -> GrayImage:
     return load_pgm(p.read_bytes())
 
 
+def _checked(make, *args, **kwargs):
+    """Call ``make``; a ValueError from its checks is a usage error (exit 2)."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _parse_set(pairs: list[str]) -> dict[str, dict[str, object]]:
     tree: dict[str, dict[str, object]] = {}
     for pair in pairs:
@@ -94,7 +102,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_corners(args: argparse.Namespace) -> int:
     image = _read_pgm(args.image)
-    params = DetectParams(
+    params = _checked(
+        DetectParams,
         max_corners=args.max,
         quality_level=args.quality,
         min_distance=args.min_distance,
@@ -124,7 +133,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"image sizes differ: {prev.width}x{prev.height} vs {next_.width}x{next_.height}"
         )
-    params = LkParams(
+    params = _checked(
+        LkParams,
         window_radius=args.window_radius,
         pyramid_levels=args.levels,
         max_iterations=args.iterations,
@@ -150,7 +160,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
         return 0
     prev_pyr = build_pyramid(prev, params.pyramid_levels)
     next_pyr = build_pyramid(next_, params.pyramid_levels)
-    for (x0, y0), res in zip(points, track_points(prev_pyr, next_pyr, points, params)):
+    # A --point that is not finite or too near a border is a usage error.
+    results = _checked(track_points, prev_pyr, next_pyr, points, params)
+    for (x0, y0), res in zip(points, results):
         status = "Tracked" if res.tracked else res.status.value
         residual = "nan" if np.isnan(res.residual) else format(res.residual, ".9g")
         print(
@@ -165,9 +177,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not path.exists():
         raise ConfigError(f"telemetry file not found: {path}")
     records = telemetry.read_csv(path.read_bytes())
-    report = telemetry.dispersion_stats(
-        records, settle_time=args.settle, frame_size_cm=args.frame_size_cm
-    )
+    report = _checked(telemetry.dispersion_stats, records, args.settle, args.frame_size_cm)
     sys.stdout.write(telemetry.write_summary_json(report).decode("ascii"))
     return 0
 

@@ -6,6 +6,14 @@ gradients and iterated against the next frame until the update norm
 drops below epsilon. The window gradients are the valid-region Sobel
 gradients of a patch sampled bilinearly once per level with a one-pixel
 rim. The flow estimate doubles when moving up a level.
+
+Each level iterates one active set of points: every per-point array
+(window, gradients, normal matrix, entry flow) holds exactly the active
+rows, and a point that leaves (ill-conditioned, out of bounds, diverged
+or converged) is cut from all of them at once. The residual at the end
+reuses the level-0 window of the previous frame, which holds the same
+samples as a fresh gather at the start points, so only the next frame
+is sampled again.
 """
 
 from __future__ import annotations
@@ -115,19 +123,17 @@ def build_pyramid(image: GrayImage, levels: int) -> Pyramid:
     return Pyramid(levels=tuple(out))
 
 
-_TRACKED = 0
-_OOB = 1
-_ILL = 2
-_DIV = 3
-_RES = 4
+_TRACKED, _OOB, _ILL, _DIV, _RES = range(5)  # indices into tuple(FlowStatus)
 
-_STATUS = {
-    _TRACKED: FlowStatus.TRACKED,
-    _OOB: FlowStatus.OUT_OF_BOUNDS,
-    _ILL: FlowStatus.ILL_CONDITIONED,
-    _DIV: FlowStatus.DIVERGED,
-    _RES: FlowStatus.HIGH_RESIDUAL,
-}
+
+def _inside(x: np.ndarray, y: np.ndarray, w: int, h: int, m: int) -> np.ndarray:
+    """True where (x, y) lies at least m px inside a w x h image."""
+    return (x >= m) & (x <= w - 1 - m) & (y >= m) & (y <= h - 1 - m)
+
+
+def _cut(keep: np.ndarray, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The rows of every array where ``keep`` holds."""
+    return rows if keep.all() else tuple(v[keep] for v in rows)
 
 
 def track_points(
@@ -156,132 +162,94 @@ def track_points(
         raise ValueError("points must be an (n, 2) array of x, y coordinates")
 
     r = params.window_radius
-    w0 = prev.levels[0].width
-    h0 = prev.levels[0].height
-    margin = r + 1
-    bad = (
-        (pts[:, 0] < margin)
-        | (pts[:, 0] > w0 - 1 - margin)
-        | (pts[:, 1] < margin)
-        | (pts[:, 1] > h0 - 1 - margin)
-    )
+    m = r + 1
+    h0, w0 = prev.levels[0].pixels.shape
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"points must be finite, got {tuple(pts[~finite][0].tolist())}")
+    bad = ~_inside(*pts.T, w0, h0, m)
     if bad.any():
-        i = int(np.nonzero(bad)[0][0])
         raise ValueError(
-            f"point {tuple(pts[i])} closer than window_radius+1={margin} px to a border"
+            f"point {tuple(pts[bad][0].tolist())} closer than window_radius+1={m} px to a border"
         )
 
     n = pts.shape[0]
     win = 2 * r + 1
-    npx = win * win
     oy, ox = np.mgrid[-r : r + 1, -r : r + 1]
     oy2, ox2 = np.mgrid[-r - 1 : r + 2, -r - 1 : r + 2]
 
     status = np.full(n, _TRACKED, dtype=np.int64)
     flow = np.zeros((n, 2), dtype=np.float64)
     residual = np.full(n, np.nan, dtype=np.float64)
+    act0 = np.empty(0, dtype=np.intp)  # the points that enter level 0 ...
+    pwin0 = None  # ... and their level-0 windows, reused for the residual
 
     for level in range(len(prev.levels) - 1, -1, -1):
-        scale = 1.0 / (1 << level)
         img_p = prev.levels[level].pixels
         img_n = next_.levels[level].pixels
         hl, wl = img_p.shape
-        pl = pts * scale
-
-        fits = (
-            (pl[:, 0] >= margin)
-            & (pl[:, 0] <= wl - 1 - margin)
-            & (pl[:, 1] >= margin)
-            & (pl[:, 1] <= hl - 1 - margin)
-        )
-        idx = np.nonzero((status == _TRACKED) & fits)[0]
-        if idx.size:
-            cx = pl[idx, 0][:, None, None] + ox2
-            cy = pl[idx, 1][:, None, None] + oy2
-            patch = bilinear_many(img_p, cx, cy)
+        pl = pts * (1.0 / (1 << level))
+        act = np.nonzero((status == _TRACKED) & _inside(*pl.T, wl, hl, m))[0]
+        if act.size:
+            patch = bilinear_many(
+                img_p, pl[act, 0][:, None, None] + ox2, pl[act, 1][:, None, None] + oy2
+            )
             gx, gy = sobel_gradients(patch)
-            prev_win = patch[:, 1:-1, 1:-1]
+            pwin = patch[:, 1:-1, 1:-1]
             a = np.einsum("nij,nij->n", gx, gx)
             b = np.einsum("nij,nij->n", gx, gy)
             c = np.einsum("nij,nij->n", gy, gy)
             det = a * c - b * b
-            ill = (min_eigenvalue(a, b, c) / npx < params.min_eigen_threshold) | (det <= 0.0)
+            ill = (min_eigenvalue(a, b, c) / win**2 < params.min_eigen_threshold) | (det <= 0.0)
             if level == 0:
                 # Conditioning is judged at full resolution; coarser
                 # levels may legitimately blur the structure away, in
                 # which case they simply contribute no refinement.
-                status[idx[ill]] = _ILL
-
-            idx = idx[~ill]
-            if idx.size:
-                gx, gy = gx[~ill], gy[~ill]
-                prev_win = prev_win[~ill]
-                a, b, c, det = a[~ill], b[~ill], c[~ill], det[~ill]
-                entry = flow[idx].copy()
-                open_ = np.ones(idx.size, dtype=bool)
-                for _ in range(params.max_iterations):
-                    sub = np.nonzero(open_)[0]
-                    if not sub.size:
-                        break
-                    fi = idx[sub]
-                    nx = pl[fi, 0] + flow[fi, 0]
-                    ny = pl[fi, 1] + flow[fi, 1]
-                    oob = (nx < r) | (nx > wl - 1 - r) | (ny < r) | (ny > hl - 1 - r)
-                    if oob.any():
-                        status[fi[oob]] = _OOB
-                        open_[sub[oob]] = False
-                        sub = sub[~oob]
-                        if not sub.size:
-                            continue
-                        fi = idx[sub]
-                        nx, ny = nx[~oob], ny[~oob]
-                    nwin = bilinear_many(img_n, nx[:, None, None] + ox, ny[:, None, None] + oy)
-                    diff = prev_win[sub] - nwin
-                    ex = np.einsum("nij,nij->n", gx[sub], diff)
-                    ey = np.einsum("nij,nij->n", gy[sub], diff)
-                    dx = (c[sub] * ex - b[sub] * ey) / det[sub]
-                    dy = (a[sub] * ey - b[sub] * ex) / det[sub]
-                    flow[fi, 0] += dx
-                    flow[fi, 1] += dy
-                    lvl_disp = np.hypot(flow[fi, 0] - entry[sub, 0], flow[fi, 1] - entry[sub, 1])
-                    div = lvl_disp > win
-                    if div.any():
-                        status[fi[div]] = _DIV
-                        open_[sub[div]] = False
-                    done = np.hypot(dx, dy) < params.epsilon
-                    open_[sub[done & ~div]] = False
+                status[act[ill]] = _ILL
+                act0, pwin0 = act, pwin
+            # The per-point arrays, cut together whenever a point leaves.
+            rows = _cut(~ill, (act, gx, gy, pwin, a, b, c, det, flow[act]))
+            for _ in range(params.max_iterations):
+                act = rows[0]
+                nx = pl[act, 0] + flow[act, 0]
+                ny = pl[act, 1] + flow[act, 1]
+                keep = _inside(nx, ny, wl, hl, r)
+                status[act[~keep]] = _OOB
+                act, gx, gy, pwin, a, b, c, det, entry = rows = _cut(keep, rows)
+                if not act.size:
+                    break
+                nx, ny = nx[keep], ny[keep]
+                diff = pwin - bilinear_many(img_n, nx[:, None, None] + ox, ny[:, None, None] + oy)
+                ex = np.einsum("nij,nij->n", gx, diff)
+                ey = np.einsum("nij,nij->n", gy, diff)
+                dx = (c * ex - b * ey) / det
+                dy = (a * ey - b * ex) / det
+                flow[act, 0] += dx
+                flow[act, 1] += dy
+                div = np.hypot(flow[act, 0] - entry[:, 0], flow[act, 1] - entry[:, 1]) > win
+                status[act[div]] = _DIV
+                rows = _cut(~div & ~(np.hypot(dx, dy) < params.epsilon), rows)
 
         if level > 0:
             flow[status == _TRACKED] *= 2.0
 
-    # Final checks at level 0: border margin, then residual.
-    idx = np.nonzero(status == _TRACKED)[0]
-    if idx.size:
-        fx = pts[idx, 0] + flow[idx, 0]
-        fy = pts[idx, 1] + flow[idx, 1]
-        oob = (fx < margin) | (fx > w0 - 1 - margin) | (fy < margin) | (fy > h0 - 1 - margin)
-        status[idx[oob]] = _OOB
-        idx = idx[~oob]
-        if idx.size:
-            cx = pts[idx, 0][:, None, None] + ox
-            cy = pts[idx, 1][:, None, None] + oy
-            pwin = bilinear_many(prev.levels[0].pixels, cx, cy)
-            nwin = bilinear_many(
-                next_.levels[0].pixels,
-                cx + flow[idx, 0][:, None, None],
-                cy + flow[idx, 1][:, None, None],
-            )
-            res = np.abs(pwin - nwin).mean(axis=(1, 2))
-            residual[idx] = res
-            status[idx[res > params.residual_cap]] = _RES
-
+    # Final checks at level 0: border margin, then residual against the
+    # level-0 windows (every point still tracked entered level 0).
     final = pts + flow
-    return [
-        FlowResult(
-            point=(float(final[i, 0]), float(final[i, 1])),
-            status=_STATUS[int(status[i])],
-            residual=float(residual[i]),
+    status[(status == _TRACKED) & ~_inside(*final.T, w0, h0, m)] = _OOB
+    ok = status[act0] == _TRACKED
+    if ok.any():
+        act = act0[ok]
+        nwin = bilinear_many(
+            next_.levels[0].pixels,
+            (pts[act, 0][:, None, None] + ox) + flow[act, 0][:, None, None],
+            (pts[act, 1][:, None, None] + oy) + flow[act, 1][:, None, None],
         )
-        for i in range(n)
-    ]
+        residual[act] = np.abs(pwin0[ok] - nwin).mean(axis=(1, 2))
+        status[act[residual[act] > params.residual_cap]] = _RES
 
+    kinds = tuple(FlowStatus)
+    return [
+        FlowResult(point=(x, y), status=kinds[s], residual=e)
+        for (x, y), s, e in zip(final.tolist(), status.tolist(), residual.tolist())
+    ]

@@ -156,12 +156,11 @@ def sobel_gradients(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if p.shape[-2] < 3 or p.shape[-1] < 3:
         raise ValueError(f"input must be at least 3x3 in its last two axes, got {p.shape}")
-    ix = (
-        (p[..., :-2, 2:] + 2.0 * p[..., 1:-1, 2:] + p[..., 2:, 2:])
-        - (p[..., :-2, :-2] + 2.0 * p[..., 1:-1, :-2] + p[..., 2:, :-2])
-    ) / 8.0
-    iy = (
-        (p[..., 2:, :-2] + 2.0 * p[..., 2:, 1:-1] + p[..., 2:, 2:])
-        - (p[..., :-2, :-2] + 2.0 * p[..., :-2, 1:-1] + p[..., :-2, 2:])
-    ) / 8.0
+    # Separable, one smoothed array alive at a time. Each output sums the
+    # 3x3 kernel's terms in the direct form's order, so the bits match.
+    s = p[..., :-2, :] + 2.0 * p[..., 1:-1, :] + p[..., 2:, :]
+    ix = (s[..., 2:] - s[..., :-2]) / 8.0
+    del s
+    s = p[..., :-2] + 2.0 * p[..., 1:-1] + p[..., 2:]
+    iy = (s[..., 2:, :] - s[..., :-2, :]) / 8.0
     return ix, iy

@@ -88,6 +88,10 @@ def dispersion_stats(
     diameter adds twice that to the airframe size, matching the
     published diameter arithmetic.
     """
+    if not 0.0 <= settle_time < math.inf:  # NaN fails too
+        raise ValueError(f"settle_time must be finite and >= 0, got {settle_time}")
+    if not 0.0 < frame_size_cm < math.inf:
+        raise ValueError(f"frame_size_cm must be finite and > 0, got {frame_size_cm}")
     post = [r for r in records if r.t >= settle_time]
     if len(post) < 2:
         raise ValueError(
@@ -151,9 +155,12 @@ def write_csv(records: Iterable[FrameRecord]) -> bytes:
 
 def _parse_float(cell: str, row: int, col: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise CsvError(f"row {row}, column {col}: expected a number, got {cell!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise CsvError(f"row {row}, column {col}: expected a finite number, got {cell!r}")
+    return value
 
 
 def _parse_int(cell: str, row: int, col: str) -> int:

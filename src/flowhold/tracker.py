@@ -61,12 +61,15 @@ class TrackerState:
     features: tuple[TrackedFeature, ...]
     best_id: int | None
     generation: int
-    blind: bool
     next_id: int
 
     @property
     def n_alive(self) -> int:
         return len(self.features)
+
+    @property
+    def blind(self) -> bool:
+        return not self.features
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,6 @@ def acquire(
         features=features,
         best_id=_select_best(features, image.width, image.height),
         generation=generation + 1,
-        blind=not features,
         next_id=next_id + len(features),
     )
 
@@ -218,7 +220,6 @@ def advance(
         features=features,
         best_id=best_id,
         generation=state.generation,
-        blind=False,
         next_id=state.next_id,
     )
     return new_state, events

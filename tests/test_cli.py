@@ -77,6 +77,16 @@ class TestCorners:
         assert code == 2
         assert "magic" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--max", "0", "max_corners"), ("--quality", "nan", "quality_level")],
+    )
+    def test_bad_parameter_exit_2(self, capsys, square_pgm, flag, value, message):
+        code, out, err = run_cli(capsys, "corners", str(square_pgm), flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "corners", str(tmp_path / "nope.pgm"))
         assert code == 2
@@ -142,6 +152,34 @@ class TestFlow:
         )
         assert code == 0
         assert "ill_conditioned" in out
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--window-radius", "1", "window_radius"), ("--epsilon", "nan", "epsilon")],
+    )
+    def test_bad_parameter_exit_2(self, capsys, flat_pgm, flag, value, message):
+        code, out, err = run_cli(
+            capsys, "flow", str(flat_pgm), str(flat_pgm), "--point", "32,32", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_non_finite_point_exit_2(self, capsys, flat_pgm):
+        code, out, err = run_cli(
+            capsys, "flow", str(flat_pgm), str(flat_pgm), "--point", "nan,nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: points must be finite, got (nan, nan)\n"
+
+    def test_point_near_border_exit_2(self, capsys, flat_pgm):
+        code, out, err = run_cli(
+            capsys, "flow", str(flat_pgm), str(flat_pgm), "--point", "3,3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: point (3.0, 3.0) closer than window_radius+1=11 px")
 
     def test_size_mismatch_exit_2(self, capsys, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -242,6 +280,39 @@ class TestSimulateAndReport:
         code, _, err = run_cli(capsys, "report", str(bad))
         assert code == 2
         assert "row 2" in err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--settle", "0", "--frame-size-cm", "nan"], "frame_size_cm"),
+            (["--settle", "0", "--frame-size-cm", "-100"], "frame_size_cm"),
+            (["--settle", "nan"], "settle_time"),
+            (["--settle", "-1"], "settle_time"),
+        ],
+    )
+    def test_report_bad_option_exit_2(self, capsys, tmp_path, flags, message):
+        run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "1", "--out", str(tmp_path)
+        )
+        code, out, err = run_cli(capsys, "report", str(tmp_path / "telemetry.csv"), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_report_rejects_nan_cell(self, capsys, tmp_path):
+        run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "1", "--out", str(tmp_path)
+        )
+        path = tmp_path / "telemetry.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "nan"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "report", str(path), "--settle", "0")
+        assert code == 2
+        assert out == ""
+        assert "row 4, column pos_x" in err
 
     def test_sweep_runs_multiple_seeds(self, capsys, tmp_path):
         code, out, _ = run_cli(

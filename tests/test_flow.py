@@ -92,6 +92,17 @@ class TestLkTrack:
         with pytest.raises(ValueError):
             track_points(pyr, pyr, [(5.0, 32.0)], LkParams(window_radius=10))
 
+    @pytest.mark.parametrize("bad", [(np.nan, 32.0), (32.0, np.inf), (-np.inf, np.nan)])
+    def test_non_finite_point_is_an_error(self, bad):
+        pyr = build_pyramid(smooth_texture(64, 64, seed=1), 2)
+        with pytest.raises(ValueError, match="points must be finite"):
+            track_points(pyr, pyr, [(32.0, 32.0), bad], LkParams(window_radius=5))
+
+    def test_border_error_names_point_as_plain_floats(self):
+        pyr = build_pyramid(smooth_texture(64, 64, seed=1), 2)
+        with pytest.raises(ValueError, match=r"^point \(3\.0, 40\.5\) closer than"):
+            track_points(pyr, pyr, [(32.0, 32.0), (3.0, 40.5)], LkParams(window_radius=5))
+
     @pytest.mark.parametrize("frac", [(0.5, 0.0), (0.25, 0.25), (0.5, -0.25)])
     def test_subpixel_recovery(self, frac):
         prev = smooth_texture(80, 80, seed=9)

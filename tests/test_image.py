@@ -185,6 +185,21 @@ class TestSobelGradients:
             np.testing.assert_array_equal(ix[k], sx)
             np.testing.assert_array_equal(iy[k], sy)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (9, 5), (3, 13, 11), (2, 2, 7, 6)])
+    def test_equals_direct_kernel_bit_for_bit(self, shape):
+        p = np.random.default_rng(17).normal(0.0, 100.0, shape)
+        ix, iy = sobel_gradients(p)
+        direct_ix = (
+            (p[..., :-2, 2:] + 2.0 * p[..., 1:-1, 2:] + p[..., 2:, 2:])
+            - (p[..., :-2, :-2] + 2.0 * p[..., 1:-1, :-2] + p[..., 2:, :-2])
+        ) / 8.0
+        direct_iy = (
+            (p[..., 2:, :-2] + 2.0 * p[..., 2:, 1:-1] + p[..., 2:, 2:])
+            - (p[..., :-2, :-2] + 2.0 * p[..., :-2, 1:-1] + p[..., :-2, 2:])
+        ) / 8.0
+        assert ix.tobytes() == direct_ix.tobytes()
+        assert iy.tobytes() == direct_iy.tobytes()
+
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 100), offset=st.floats(0.0, 0.4))
     def test_dc_invariance(self, seed, offset):

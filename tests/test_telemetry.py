@@ -83,6 +83,23 @@ class TestDispersionStats:
         with pytest.raises(ValueError):
             dispersion_stats(records, settle_time=1.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("settle_time", math.nan),
+            ("settle_time", math.inf),
+            ("settle_time", -1.0),
+            ("frame_size_cm", math.nan),
+            ("frame_size_cm", math.inf),
+            ("frame_size_cm", 0.0),
+            ("frame_size_cm", -100.0),
+        ],
+    )
+    def test_rejects_bad_settle_or_frame_size(self, field, value):
+        records = make_records([(0.1 * i, 0.0) for i in range(10)])
+        with pytest.raises(ValueError, match=field):
+            dispersion_stats(records, **{field: value})
+
     @settings(deadline=None, max_examples=60)
     @given(
         shift_x=st.floats(-5.0, 5.0),
@@ -165,6 +182,17 @@ class TestCsv:
         row = "x,0,0,0,0,,,,0,0,1,1,"
         with pytest.raises(CsvError, match="column t"):
             read_csv((CSV_HEADER + "\n" + row + "\n").encode())
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("column", [0, 1, 7, 9])
+    def test_read_rejects_non_finite(self, cell, column):
+        good = "0,0,0,0,0,1,1,1.41421356,0,0,1,1,"
+        cells = good.split(",")
+        cells[column] = cell
+        data = CSV_HEADER + "\n" + good + "\n" + ",".join(cells) + "\n"
+        name = CSV_HEADER.split(",")[column]
+        with pytest.raises(CsvError, match=f"row 3, column {name}: expected a finite number"):
+            read_csv(data.encode())
 
 
 class TestSummaryJson:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,11 +208,7 @@ class TestBestDisplacement:
             )
             for f in state.features
         )
-        state = type(state)(
-            width=state.width, height=state.height, features=feats,
-            best_id=state.best_id, generation=state.generation,
-            blind=state.blind, next_id=state.next_id,
-        )
+        state = replace(state, features=feats)
         d = best_displacement(state, 640, 480)
         assert (d.x, d.y, d.d) == (0.0, 0.0, 0.0)
 
@@ -224,11 +222,7 @@ class TestBestDisplacement:
             )
             for f in state.features
         )
-        state = type(state)(
-            width=state.width, height=state.height, features=feats,
-            best_id=state.best_id, generation=state.generation,
-            blind=state.blind, next_id=state.next_id,
-        )
+        state = replace(state, features=feats)
         d = best_displacement(state, 640, 480)
         assert (d.x, d.y, d.d) == (160.0, -120.0, 200.0)
 
