@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from flowhold.corners import DetectParams, Rect, detect_corners
 from flowhold.flow import LkParams, build_pyramid, track_points
 from flowhold.image import GrayImage, PgmError, load_pgm, save_pgm
 from flowhold.sim import run_episode
-from flowhold.tracker import center_roi, inside_lk_margin
+from flowhold.tracker import center_roi
 
 _D = DetectParams()
 _L = LkParams()
@@ -64,24 +65,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.texture_seed is not None:
         sim_over["texture_seed"] = args.texture_seed
 
+    if args.sweep is not None and args.sweep < 1:
+        raise ConfigError(f"--sweep must be >= 1, got {args.sweep}")
+    rc = load_run_config(args.preset, args.config, overrides)
+    if rc.sim.n_ticks < 1:
+        raise ConfigError(
+            f"sim: duration={rc.sim.duration} gives fewer than 2 records at "
+            f"camera_rate={rc.sim.camera_rate}; it must be >= {1.0 / rc.sim.camera_rate:g} s"
+        )
+    settle = rc.sim.settle_time
+    if rc.sim.duration < settle + 2.0 / rc.sim.camera_rate:
+        settle = 0.0  # runs shorter than the settle window report everything
+    runs = [(None, rc)]
+    if args.sweep is not None:
+        seeds = range(rc.sim.texture_seed, rc.sim.texture_seed + args.sweep)
+        runs = [(s, replace(rc, sim=replace(rc.sim, texture_seed=s))) for s in seeds]
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = [None]
-    if args.sweep is not None:
-        base = sim_over.get("texture_seed")
-        if base is None:
-            rc0 = load_run_config(args.preset, args.config, overrides)
-            base = rc0.sim.texture_seed
-        seeds = [int(base) + i for i in range(args.sweep)]
-
-    for seed in seeds:
-        if seed is not None:
-            sim_over["texture_seed"] = seed
-        rc = load_run_config(args.preset, args.config, overrides)
+    for seed, rc in runs:
         records = run_episode(rc.sim, rc.gains, rc.tracker_config())
-        settle = rc.sim.settle_time
-        if rc.sim.duration < settle + 2.0 / rc.sim.camera_rate:
-            settle = 0.0  # runs shorter than the settle window report everything
         report = telemetry.dispersion_stats(
             records, settle_time=settle, frame_size_cm=rc.sim.frame_size_cm
         )
@@ -109,11 +112,12 @@ def cmd_corners(args: argparse.Namespace) -> int:
         min_distance=args.min_distance,
         window_radius=args.window_radius,
     )
+    # An image too small for the ROI or the window is a usage error.
     if args.roi == "center":
-        roi = center_roi(image.width, image.height)
+        roi = _checked(center_roi, image.width, image.height)
     else:
         roi = Rect(0, 0, image.width, image.height)
-    corners = detect_corners(image, roi, params)
+    corners = _checked(detect_corners, image, roi, params)
     for c in corners:
         print(f"{c.x} {c.y} {c.response:.9g}")
     if args.annotate:
@@ -141,12 +145,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
     )
     if args.auto:
-        detected = detect_corners(
-            prev, Rect(0, 0, prev.width, prev.height), DetectParams()
+        detected = _checked(
+            detect_corners, prev, Rect(0, 0, prev.width, prev.height), DetectParams()
         )
         points = [
             (float(c.x), float(c.y))
-            for c in inside_lk_margin(detected, prev.width, prev.height, params)
+            for c in detected
+            if params.fits(c.x, c.y, prev.width, prev.height)
         ]
     else:
         points = []

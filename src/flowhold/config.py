@@ -63,22 +63,21 @@ def _coerce(value: Any, target: type, path: str) -> Any:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
-    if target is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true/false, got {value!r}")
-        return value
-    raise ConfigError(f"{path}: unsupported field type {target}")
+    if not isinstance(value, bool):  # target is bool
+        raise ConfigError(f"{path}: expected true/false, got {value!r}")
+    return value
 
 
-_FIELD_TYPES = {
-    "sim": {f.name: f.type for f in dataclasses.fields(SimConfig)},
-    "gains": {f.name: f.type for f in dataclasses.fields(PidGains)},
-    "detect": {f.name: f.type for f in dataclasses.fields(DetectParams)},
-    "lk": {f.name: f.type for f in dataclasses.fields(LkParams)},
-    "tracker": {"min_alive": "int"},
-}
-
+# The Python type of every settable field, per section, resolved once; a
+# field of any other type fails here, at import.
 _PY_TYPES = {"float": float, "int": int, "bool": bool}
+_FIELD_TYPES = {
+    section: {f.name: _PY_TYPES[f.type] for f in dataclasses.fields(cls)}
+    for section, cls in (
+        ("sim", SimConfig), ("gains", PidGains), ("detect", DetectParams), ("lk", LkParams)
+    )
+}
+_FIELD_TYPES["tracker"] = {"min_alive": int}
 
 
 def _merge_section(section: str, base: dict[str, Any], override: Mapping[str, Any]) -> None:
@@ -86,10 +85,7 @@ def _merge_section(section: str, base: dict[str, Any], override: Mapping[str, An
     for key, value in override.items():
         if key not in types:
             raise ConfigError(f"{section}.{key}: unknown field")
-        target = _PY_TYPES.get(str(types[key]).strip())
-        if target is None:
-            raise ConfigError(f"{section}.{key}: unsupported field type")
-        base[key] = _coerce(value, target, f"{section}.{key}")
+        base[key] = _coerce(value, types[key], f"{section}.{key}")
 
 
 def _validate_tree(tree: Mapping[str, Any], source: str) -> None:
@@ -160,6 +156,13 @@ def load_run_config(
     tracker = build("tracker", lambda: TrackerConfig(
         detect=detect, lk=lk, min_alive=sections["tracker"].get("min_alive", 5)
     ))
+    side = min(sim.image_width, sim.image_height)
+    for section, r in (("detect", detect.window_radius), ("lk", lk.window_radius)):
+        if 2 * r + 3 > side:  # the window plus a one-pixel rim must fit the frame
+            raise ConfigError(
+                f"{section}: window_radius={r} needs a frame of at least {2 * r + 3} px "
+                f"per side, got {sim.image_width}x{sim.image_height}"
+            )
     return RunConfig(
         sim=sim,
         gains=gains,

@@ -72,6 +72,18 @@ class LkParams:
             if not 0.0 < getattr(self, name) < math.inf:  # NaN and inf fail too
                 raise ValueError(f"{name} must be > 0")
 
+    @property
+    def margin(self) -> int:
+        """Least px from a start point to a border: the window and its gradient rim."""
+        return self.window_radius + 1
+
+    def fits(self, x, y, width: int, height: int):
+        """Whether track_points accepts (x, y) as a start in a width x height frame.
+
+        Works elementwise on arrays as well as on scalars.
+        """
+        return _inside(x, y, width, height, self.margin)
+
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -162,15 +174,15 @@ def track_points(
         raise ValueError("points must be an (n, 2) array of x, y coordinates")
 
     r = params.window_radius
-    m = r + 1
     h0, w0 = prev.levels[0].pixels.shape
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         raise ValueError(f"points must be finite, got {tuple(pts[~finite][0].tolist())}")
-    bad = ~_inside(*pts.T, w0, h0, m)
+    bad = ~params.fits(*pts.T, w0, h0)
     if bad.any():
         raise ValueError(
-            f"point {tuple(pts[bad][0].tolist())} closer than window_radius+1={m} px to a border"
+            f"point {tuple(pts[bad][0].tolist())} closer than "
+            f"window_radius+1={params.margin} px to a border"
         )
 
     n = pts.shape[0]
@@ -189,7 +201,7 @@ def track_points(
         img_n = next_.levels[level].pixels
         hl, wl = img_p.shape
         pl = pts * (1.0 / (1 << level))
-        act = np.nonzero((status == _TRACKED) & _inside(*pl.T, wl, hl, m))[0]
+        act = np.nonzero((status == _TRACKED) & params.fits(*pl.T, wl, hl))[0]
         if act.size:
             patch = bilinear_many(
                 img_p, pl[act, 0][:, None, None] + ox2, pl[act, 1][:, None, None] + oy2
@@ -236,7 +248,7 @@ def track_points(
     # Final checks at level 0: border margin, then residual against the
     # level-0 windows (every point still tracked entered level 0).
     final = pts + flow
-    status[(status == _TRACKED) & ~_inside(*final.T, w0, h0, m)] = _OOB
+    status[(status == _TRACKED) & ~params.fits(*final.T, w0, h0)] = _OOB
     ok = status[act0] == _TRACKED
     if ok.any():
         act = act0[ok]

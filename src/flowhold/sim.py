@@ -144,6 +144,11 @@ class SimConfig:
         return 1.0 / self.camera_rate
 
     @property
+    def n_ticks(self) -> int:
+        """Camera ticks after the first frame; an episode records n_ticks + 1 frames."""
+        return math.floor(self.duration * self.camera_rate)
+
+    @property
     def substeps(self) -> int:
         n = round(self.frame_dt / self.physics_dt)
         if n < 1 or abs(n * self.physics_dt - self.frame_dt) > 1e-9:
@@ -335,7 +340,7 @@ def run_episode(
     vehicle = VehicleState(x=cfg.start_x, y=cfg.start_y)
     wind = WindState()
     frame_dt = cfg.frame_dt
-    n_ticks = math.floor(cfg.duration * cfg.camera_rate)
+    n_ticks = cfg.n_ticks
 
     records: list[FrameRecord] = []
     state = None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -22,10 +22,6 @@ __all__ = [
     "write_summary_json",
 ]
 
-CSV_HEADER = (
-    "t,pos_x,pos_y,vel_x,vel_y,disp_x,disp_y,disp_d,"
-    "cmd_roll,cmd_pitch,n_alive,generation,events"
-)
 _EVENT_NAMES = ("reacquired", "feature_lost", "blind")
 
 
@@ -38,6 +34,7 @@ class FrameRecord:
     """One camera tick: vehicle truth, measurement, command, tracker health.
 
     Displacement fields are None while blind (no trackable feature).
+    The fields, in this order, are the telemetry CSV columns.
     """
 
     t: float
@@ -126,31 +123,8 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".9g")
 
 
-def write_csv(records: Iterable[FrameRecord]) -> bytes:
-    """Serialize records to the fixed 13-column schema, LF line endings."""
-    lines = [CSV_HEADER]
-    for r in records:
-        events = ";".join(name for name in _EVENT_NAMES if name in r.events)
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.t),
-                    _fmt(r.pos_x),
-                    _fmt(r.pos_y),
-                    _fmt(r.vel_x),
-                    _fmt(r.vel_y),
-                    _fmt(r.disp_x),
-                    _fmt(r.disp_y),
-                    _fmt(r.disp_d),
-                    _fmt(r.cmd_roll),
-                    _fmt(r.cmd_pitch),
-                    str(r.n_alive),
-                    str(r.generation),
-                    events,
-                )
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("ascii")
+def _fmt_events(events: frozenset[str]) -> str:
+    return ";".join(name for name in _EVENT_NAMES if name in events)
 
 
 def _parse_float(cell: str, row: int, col: str) -> float:
@@ -163,6 +137,10 @@ def _parse_float(cell: str, row: int, col: str) -> float:
     return value
 
 
+def _parse_optional(cell: str, row: int, col: str) -> float | None:
+    return None if cell == "" else _parse_float(cell, row, col)
+
+
 def _parse_int(cell: str, row: int, col: str) -> int:
     try:
         return int(cell)
@@ -170,10 +148,37 @@ def _parse_int(cell: str, row: int, col: str) -> int:
         raise CsvError(f"row {row}, column {col}: expected an integer, got {cell!r}") from None
 
 
+def _parse_events(cell: str, row: int, col: str) -> frozenset[str]:
+    events = frozenset(name for name in cell.split(";") if name)
+    unknown = events - set(_EVENT_NAMES)
+    if unknown:
+        raise CsvError(f"row {row}, column {col}: unknown flag {sorted(unknown)[0]!r}")
+    return events
+
+
+# How each kind of FrameRecord field is written and parsed, keyed by its annotation.
+_CODECS = {
+    "float": ("{:.9g}".format, _parse_float),
+    "float | None": (_fmt, _parse_optional),
+    "int": (str, _parse_int),
+    "frozenset[str]": (_fmt_events, _parse_events),
+}
+# (name, format, parse) per CSV column: FrameRecord's fields, in declaration order.
+_COLUMNS = tuple((f.name, *_CODECS[f.type]) for f in fields(FrameRecord))
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+
+
+def write_csv(records: Iterable[FrameRecord]) -> bytes:
+    """Serialize records, one column per FrameRecord field, LF line endings."""
+    rows = (",".join(fmt(getattr(r, name)) for name, fmt, _ in _COLUMNS) for r in records)
+    return ("\n".join((CSV_HEADER, *rows)) + "\n").encode("ascii")
+
+
 def read_csv(data: bytes) -> list[FrameRecord]:
     """Parse telemetry CSV back into records, validating the schema.
 
-    Errors name the offending row (1-based, header is row 1) and column.
+    Errors name the offending row (1-based, header is row 1) and, for a
+    bad cell, its column.
     """
     text = data.decode("ascii")
     lines = text.split("\n")
@@ -184,48 +189,14 @@ def read_csv(data: bytes) -> list[FrameRecord]:
     records = []
     for i, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != 13:
-            raise CsvError(f"row {i}: expected 13 fields, got {len(cells)}")
-        disp = cells[5:8]
-        blanks = [c == "" for c in disp]
-        if any(blanks) and not all(blanks):
-            raise CsvError(f"row {i}: disp_x, disp_y, disp_d must be jointly empty or set")
-        names = cells[12]
-        events = frozenset(n for n in names.split(";") if n)
-        unknown = events - set(_EVENT_NAMES)
-        if unknown:
-            raise CsvError(f"row {i}, column events: unknown flag {sorted(unknown)[0]!r}")
-        records.append(
-            FrameRecord(
-                t=_parse_float(cells[0], i, "t"),
-                pos_x=_parse_float(cells[1], i, "pos_x"),
-                pos_y=_parse_float(cells[2], i, "pos_y"),
-                vel_x=_parse_float(cells[3], i, "vel_x"),
-                vel_y=_parse_float(cells[4], i, "vel_y"),
-                disp_x=None if blanks[0] else _parse_float(cells[5], i, "disp_x"),
-                disp_y=None if blanks[1] else _parse_float(cells[6], i, "disp_y"),
-                disp_d=None if blanks[2] else _parse_float(cells[7], i, "disp_d"),
-                cmd_roll=_parse_float(cells[8], i, "cmd_roll"),
-                cmd_pitch=_parse_float(cells[9], i, "cmd_pitch"),
-                n_alive=_parse_int(cells[10], i, "n_alive"),
-                generation=_parse_int(cells[11], i, "generation"),
-                events=events,
-            )
-        )
+        if len(cells) != len(_COLUMNS):
+            raise CsvError(f"row {i}: expected {len(_COLUMNS)} fields, got {len(cells)}")
+        values = [parse(cell, i, name) for (name, _, parse), cell in zip(_COLUMNS, cells)]
+        try:
+            records.append(FrameRecord(*values))
+        except ValueError as exc:  # FrameRecord's own checks, e.g. the displacement cells
+            raise CsvError(f"row {i}: {exc}") from None
     return records
-
-
-_REPORT_FIELDS = (
-    "mean_x",
-    "mean_y",
-    "std_x",
-    "std_y",
-    "two_sigma_radial",
-    "max_excursion",
-    "hold_diameter",
-    "settle_time_used",
-    "blind_fraction",
-)
 
 
 def write_summary_json(report: DispersionReport, digest: Mapping[str, object] = ()) -> bytes:
@@ -234,6 +205,5 @@ def write_summary_json(report: DispersionReport, digest: Mapping[str, object] = 
     Key order is fixed so identical inputs serialize byte-identically.
     """
     obj: dict[str, object] = dict(digest)
-    for name in _REPORT_FIELDS:
-        obj[name] = getattr(report, name)
+    obj.update(asdict(report))
     return (json.dumps(obj, indent=2) + "\n").encode("ascii")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from flowhold.control import Displacement, displacement_from_center
-from flowhold.corners import Corner, DetectParams, Rect, detect_corners
+from flowhold.corners import DetectParams, Rect, detect_corners
 from flowhold.flow import FlowStatus, LkParams, Pyramid, build_pyramid, track_points
 from flowhold.image import GrayImage
 
@@ -29,7 +29,6 @@ __all__ = [
     "advance",
     "best_displacement",
     "center_roi",
-    "inside_lk_margin",
 ]
 
 
@@ -98,21 +97,6 @@ def center_roi(width: int, height: int) -> Rect:
     return Rect(x=width // 4, y=height // 4, w=width // 2, h=height // 2)
 
 
-def inside_lk_margin(
-    corners: list[Corner], width: int, height: int, lk: LkParams
-) -> list[Corner]:
-    """The corners at least lk.window_radius + 1 px from every border.
-
-    track_points rejects any start point closer to a border than that.
-    """
-    margin = lk.window_radius + 1
-    return [
-        c
-        for c in corners
-        if margin <= c.x <= width - 1 - margin and margin <= c.y <= height - 1 - margin
-    ]
-
-
 def _select_best(
     features: tuple[TrackedFeature, ...], width: int, height: int
 ) -> int | None:
@@ -137,9 +121,11 @@ def acquire(
     downstream control must hold attitude neutral.
     """
     roi = center_roi(image.width, image.height)
-    corners = inside_lk_margin(
-        detect_corners(image, roi, config.detect), image.width, image.height, config.lk
-    )
+    corners = [
+        c
+        for c in detect_corners(image, roi, config.detect)
+        if config.lk.fits(c.x, c.y, image.width, image.height)
+    ]
     features = tuple(
         TrackedFeature(
             id=next_id + i,

@@ -87,6 +87,23 @@ class TestCorners:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "size,flags,message",
+        [
+            (32, ["--window-radius", "20"], "image must be at least 43x43 for window_radius=20"),
+            (5, [], "image must be at least 7x7 for window_radius=2"),
+            (3, ["--roi", "center"], "image must be at least 4x4, got 3x3"),
+        ],
+        ids=["radius-20-on-32x32", "5x5", "center-roi-on-3x3"],
+    )
+    def test_image_too_small_exit_2(self, capsys, tmp_path, size, flags, message):
+        path = tmp_path / "small.pgm"
+        path.write_bytes(save_pgm(GrayImage.full(size, size, 0.5)))
+        code, out, err = run_cli(capsys, "corners", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "corners", str(tmp_path / "nope.pgm"))
         assert code == 2
@@ -181,6 +198,14 @@ class TestFlow:
         assert out == ""
         assert err.startswith("error: point (3.0, 3.0) closer than window_radius+1=11 px")
 
+    def test_auto_image_too_small_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "small.pgm"
+        path.write_bytes(save_pgm(GrayImage.full(5, 5, 0.5)))
+        code, out, err = run_cli(capsys, "flow", str(path), str(path), "--auto")
+        assert code == 2
+        assert out == ""
+        assert err == "error: image must be at least 7x7 for window_radius=2\n"
+
     def test_size_mismatch_exit_2(self, capsys, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         a.write_bytes(save_pgm(GrayImage.full(32, 32, 0.5)))
@@ -237,6 +262,46 @@ class TestSimulateAndReport:
         code, _, err = run_cli(capsys, "simulate", "--set", setting, "--out", str(tmp_path))
         assert code == 2
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("section", ["detect", "lk"])
+    def test_window_radius_beyond_frame_exit_2(self, capsys, tmp_path, section):
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "simulate", "--set", f"{section}.window_radius=300", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {section}: window_radius=300 needs a frame")
+        assert not out_dir.exists()  # rejected before anything flew
+
+    def test_duration_below_two_records_exit_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "0.01", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sim: duration=0.01 gives fewer than 2 records")
+        assert not out_dir.exists()
+
+    def test_two_record_duration_flies(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "0.04", "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert len((tmp_path / "telemetry.csv").read_text().splitlines()) == 1 + 2
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_sweep_below_one_exit_2(self, capsys, tmp_path, count):
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "1", "--sweep", count,
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --sweep must be >= 1, got {count}\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("route", ["set", "config"])
     @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowhold.config import (
     PRESET_NAMES,
@@ -60,6 +64,30 @@ class TestPresets:
         assert blind.sim.blank_ground
 
 
+# Fields a config layer may set, each with values its section accepts.
+_LAYER_VALUES = {
+    ("sim", "duration"): st.floats(0.5, 500.0),
+    ("sim", "texture_seed"): st.integers(0, 10**6),
+    ("sim", "wind_sigma"): st.floats(0.0, 1.0),
+    ("sim", "blank_ground"): st.booleans(),
+    ("gains", "kp"): st.floats(0.0, 1e-2),
+    ("lk", "max_iterations"): st.integers(1, 50),
+    ("tracker", "min_alive"): st.integers(1, 20),
+}
+
+
+def _tree(layer):
+    tree = {}
+    for (section, name), value in layer.items():
+        tree.setdefault(section, {})[name] = value
+    return tree
+
+
+def _field(rc, key):
+    section, name = key
+    return rc.min_alive if section == "tracker" else getattr(getattr(rc, section), name)
+
+
 class TestPrecedence:
     def test_file_overrides_preset_and_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -68,6 +96,30 @@ class TestPrecedence:
         assert rc.sim.duration == 7.0
         assert rc.sim.texture_seed == 777
         assert rc.sim.wind_sigma == 0.0  # still from the calm preset
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        preset=st.sampled_from((None, *PRESET_NAMES)),
+        file_layer=st.fixed_dictionaries({}, optional=_LAYER_VALUES),
+        set_layer=st.fixed_dictionaries({}, optional=_LAYER_VALUES),
+    )
+    def test_later_layer_wins_per_field(self, preset, file_layer, set_layer):
+        # defaults < preset < --config file < --set, decided field by field.
+        preset_layer = {
+            (section, name): value
+            for section, fields in (preset_overrides(preset) if preset else {}).items()
+            for name, value in fields.items()
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(_tree(file_layer)))
+            rc = load_run_config(preset, path, _tree(set_layer))
+        defaults = load_run_config()
+        for key in _LAYER_VALUES:
+            want = _field(defaults, key)
+            for layer in (preset_layer, file_layer, set_layer):
+                want = layer.get(key, want)
+            assert _field(rc, key) == want, key
 
     def test_missing_file(self, tmp_path):
         missing = tmp_path / "nope.json"
@@ -116,6 +168,16 @@ class TestValidation:
     def test_physical_sim_fields_checked(self, field, value):
         with pytest.raises(ConfigError, match=field):
             load_run_config(None, None, {"sim": {field: value}})
+
+    @pytest.mark.parametrize("section", ["detect", "lk"])
+    def test_window_radius_must_fit_frame(self, section):
+        # A 64x48 frame holds a window of radius 22 with its one-pixel rim
+        # (2r+3 = 47), not one of radius 23 (49).
+        sim = {"image_width": 64, "image_height": 48}
+        rc = load_run_config(None, None, {"sim": sim, section: {"window_radius": 22}})
+        assert getattr(rc, section).window_radius == 22
+        with pytest.raises(ConfigError, match=f"^{section}: window_radius=23 needs"):
+            load_run_config(None, None, {"sim": sim, section: {"window_radius": 23}})
 
     def test_tracker_min_alive_bound(self):
         with pytest.raises(ConfigError):

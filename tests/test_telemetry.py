@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,14 @@ from flowhold.telemetry import (
     read_csv,
     write_csv,
     write_summary_json,
+)
+
+
+# Finite floats that stress .9g formatting: signed zeros, subnormals, huge and tiny values.
+_CELL_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-9, -123456789.5]),
 )
 
 
@@ -182,6 +191,62 @@ class TestCsv:
         row = "x,0,0,0,0,,,,0,0,1,1,"
         with pytest.raises(CsvError, match="column t"):
             read_csv((CSV_HEADER + "\n" + row + "\n").encode())
+
+    def test_header_is_the_documented_schema(self):
+        # The header follows FrameRecord's field order; reordering or
+        # renaming a field must not silently change the file format.
+        assert CSV_HEADER == (
+            "t,pos_x,pos_y,vel_x,vel_y,disp_x,disp_y,disp_d,"
+            "cmd_roll,cmd_pitch,n_alive,generation,events"
+        )
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        assert f"`{CSV_HEADER}`" in readme.read_text("utf-8")
+
+    @pytest.mark.parametrize(
+        "disp", [",1,1", "1,,1", "1,1,", "1,,", ",,1"], ids=["x", "y", "d", "yd", "xy"]
+    )
+    def test_read_rejects_partial_displacement(self, disp):
+        row = f"0,0,0,0,0,{disp},0,0,1,1,"
+        data = CSV_HEADER + "\n" + "0,0,0,0,0,,,,0,0,0,1,blind\n" + row + "\n"
+        with pytest.raises(CsvError, match="^row 3: disp_x, disp_y, disp_d must be"):
+            read_csv(data.encode())
+
+    def test_read_rejects_unknown_event(self):
+        row = "0,0,0,0,0,,,,0,0,0,1,blind;gone"
+        with pytest.raises(CsvError, match="row 2, column events: unknown flag 'gone'"):
+            read_csv((CSV_HEADER + "\n" + row + "\n").encode())
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(_CELL_FLOATS, min_size=7, max_size=7),
+                st.one_of(st.none(), st.lists(_CELL_FLOATS, min_size=3, max_size=3)),
+                st.integers(0, 10**12),
+                st.integers(0, 10**12),
+                st.frozensets(st.sampled_from(["reacquired", "feature_lost", "blind"])),
+            ),
+            max_size=20,
+        )
+    )
+    def test_write_read_write_is_identity(self, rows):
+        records = [
+            FrameRecord(
+                *floats[:5],
+                *(disp or (None, None, None)),
+                *floats[5:7],
+                n_alive=n_alive,
+                generation=generation,
+                events=events,
+            )
+            for floats, disp, n_alive, generation, events in rows
+        ]
+        data = write_csv(records)
+        back = read_csv(data)
+        assert write_csv(back) == data
+        for a, b in zip(records, back):
+            assert (b.disp_x is None) == (a.disp_x is None)
+            assert (b.n_alive, b.generation, b.events) == (a.n_alive, a.generation, a.events)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     @pytest.mark.parametrize("column", [0, 1, 7, 9])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowhold.corners import Corner, DetectParams, detect_corners
+from flowhold.corners import DetectParams, detect_corners
 from flowhold.flow import LkParams
 from flowhold.image import GrayImage
 from flowhold.sim import GroundTexture, SimConfig, VehicleState, render_frame
@@ -18,7 +18,6 @@ from flowhold.tracker import (
     advance,
     best_displacement,
     center_roi,
-    inside_lk_margin,
 )
 
 from util import smooth_texture
@@ -59,10 +58,12 @@ class TestCenterRoi:
 class TestInsideLkMargin:
     def test_margin_is_inclusive(self):
         lk = LkParams(window_radius=5)  # margin 6; the last kept index is 64 - 1 - 6
-        corners = [Corner(x=x, y=30, response=1.0) for x in (5, 6, 57, 58)]
-        corners += [Corner(x=30, y=y, response=1.0) for y in (5, 6, 57, 58)]
-        kept = inside_lk_margin(corners, 64, 64, lk)
-        assert [(c.x, c.y) for c in kept] == [(6, 30), (57, 30), (30, 6), (30, 57)]
+        assert lk.margin == 6
+        starts = [(x, 30) for x in (5, 6, 57, 58)] + [(30, y) for y in (5, 6, 57, 58)]
+        kept = [(x, y) for x, y in starts if lk.fits(x, y, 64, 64)]
+        assert kept == [(6, 30), (57, 30), (30, 6), (30, 57)]
+        xs, ys = np.array(starts, dtype=float).T
+        assert lk.fits(xs, ys, 64, 64).tolist() == [(x, y) in kept for x, y in starts]
 
 
 class TestAcquire:
