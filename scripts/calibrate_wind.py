@@ -4,29 +4,33 @@
 The outdoor/indoor presets are chosen so the simulated 2-sigma radial
 dispersion lands near the reference flight numbers (18.66 cm outdoor,
 10.55 cm indoor). Run this after touching dynamics, gains, or the
-texture to re-check the operating points.
+texture to re-check the operating points. Each point flies the outdoor
+preset with the swept wind, seed and yaw rate set over it.
+
+    PYTHONPATH=src python scripts/calibrate_wind.py --duration 300 --sigmas 0.3 0.35
 """
 
 import argparse
 import sys
 import time
 
-from flowhold.sim import SimConfig, run_episode
+from flowhold.config import load_run_config
+from flowhold.sim import run_episode
 from flowhold.telemetry import dispersion_stats
 
 
 def run_point(sigma: float, rate: float, seed: int, duration: float, yaw: float = 0.0):
-    cfg = SimConfig(
-        texture_seed=seed,
-        cell_size=0.125,
-        wind_sigma=sigma,
-        wind_rate=rate,
-        yaw_rate=yaw,
-        duration=duration,
-    )
+    sim = {
+        "texture_seed": seed,
+        "wind_sigma": sigma,
+        "wind_rate": rate,
+        "yaw_rate": yaw,
+        "duration": duration,
+    }
+    rc = load_run_config("outdoor", overrides={"sim": sim})
     t0 = time.time()
-    records = run_episode(cfg)
-    report = dispersion_stats(records, settle_time=cfg.settle_time)
+    records = run_episode(rc.sim, rc.gains, rc.tracker_config())
+    report = dispersion_stats(records, rc.sim.settle_time, rc.sim.frame_size_cm)
     reacq = sum(1 for r in records if "reacquired" in r.events)
     losses = sum(1 for r in records if "feature_lost" in r.events)
     print(

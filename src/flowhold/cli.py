@@ -18,16 +18,17 @@ from flowhold.config import PRESET_NAMES, ConfigError, config_digest, load_run_c
 from flowhold.corners import DetectParams, Rect, detect_corners
 from flowhold.flow import LkParams, build_pyramid, track_points
 from flowhold.image import GrayImage, PgmError, load_pgm, save_pgm
-from flowhold.sim import run_episode
+from flowhold.sim import SimConfig, run_episode
 from flowhold.tracker import center_roi
 
 _D = DetectParams()
 _L = LkParams()
+_S = SimConfig()
 
 
 def _read_pgm(path: str) -> GrayImage:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"image file not found: {p}")
     return load_pgm(p.read_bytes())
 
@@ -179,7 +180,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.telemetry)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"telemetry file not found: {path}")
     records = telemetry.read_csv(path.read_bytes())
     report = _checked(telemetry.dispersion_stats, records, args.settle, args.frame_size_cm)
@@ -247,10 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="recompute dispersion stats from telemetry CSV")
     p.add_argument("telemetry", help="telemetry.csv produced by simulate")
-    p.add_argument("--settle", type=float, default=5.0,
-                   help="seconds to exclude from the start (default: 5.0)")
-    p.add_argument("--frame-size-cm", dest="frame_size_cm", type=float, default=58.0,
-                   help="airframe tip-to-tip size in cm (default: 58.0)")
+    p.add_argument("--settle", type=float, default=_S.settle_time,
+                   help=f"seconds to exclude from the start (default: {_S.settle_time})")
+    p.add_argument("--frame-size-cm", dest="frame_size_cm", type=float,
+                   default=_S.frame_size_cm,
+                   help=f"airframe tip-to-tip size in cm (default: {_S.frame_size_cm})")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -32,20 +32,23 @@ __all__ = [
 
 PRESET_NAMES = ("calm", "outdoor", "indoor", "lowlight", "blind")
 
-_SECTIONS = ("sim", "gains", "tracker", "detect", "lk")
+# Each section and the dataclass that checks it. A field named after
+# another section (tracker.detect, tracker.lk) is set through that section.
+_SECTIONS = {
+    "sim": SimConfig, "gains": PidGains, "tracker": TrackerConfig,
+    "detect": DetectParams, "lk": LkParams,
+}
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     sim: SimConfig
     gains: PidGains
-    detect: DetectParams
-    lk: LkParams
-    min_alive: int
+    tracker: TrackerConfig
     preset: str | None = None
 
     def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(detect=self.detect, lk=self.lk, min_alive=self.min_alive)
+        return self.tracker
 
 
 def _coerce(value: Any, target: type, path: str) -> Any:
@@ -72,12 +75,11 @@ def _coerce(value: Any, target: type, path: str) -> Any:
 # field of any other type fails here, at import.
 _PY_TYPES = {"float": float, "int": int, "bool": bool}
 _FIELD_TYPES = {
-    section: {f.name: _PY_TYPES[f.type] for f in dataclasses.fields(cls)}
-    for section, cls in (
-        ("sim", SimConfig), ("gains", PidGains), ("detect", DetectParams), ("lk", LkParams)
-    )
+    section: {
+        f.name: _PY_TYPES[f.type] for f in dataclasses.fields(cls) if f.name not in _SECTIONS
+    }
+    for section, cls in _SECTIONS.items()
 }
-_FIELD_TYPES["tracker"] = {"min_alive": int}
 
 
 def _merge_section(section: str, base: dict[str, Any], override: Mapping[str, Any]) -> None:
@@ -130,7 +132,7 @@ def load_run_config(
         apply(preset_overrides(preset))
     if config_path is not None:
         path = Path(config_path)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
             tree = json.loads(path.read_text("utf-8"))
@@ -142,35 +144,22 @@ def load_run_config(
         _validate_tree(overrides, "overrides")
         apply(overrides)
 
-    def build(section: str, make):
+    def build(section: str, **nested):
         try:
-            return make()
+            return _SECTIONS[section](**sections[section], **nested)
         except ValueError as exc:  # a dataclass's semantic check names the field only
             raise ConfigError(f"{section}: {exc}") from None
 
-    sim = build("sim", lambda: SimConfig(**sections["sim"]))
-    build("sim", lambda: sim.substeps)  # surfaces dt divisibility problems up front
-    gains = build("gains", lambda: PidGains(**sections["gains"]))
-    detect = build("detect", lambda: DetectParams(**sections["detect"]))
-    lk = build("lk", lambda: LkParams(**sections["lk"]))
-    tracker = build("tracker", lambda: TrackerConfig(
-        detect=detect, lk=lk, min_alive=sections["tracker"].get("min_alive", 5)
-    ))
-    side = min(sim.image_width, sim.image_height)
-    for section, r in (("detect", detect.window_radius), ("lk", lk.window_radius)):
-        if 2 * r + 3 > side:  # the window plus a one-pixel rim must fit the frame
+    sim, gains = build("sim"), build("gains")
+    tracker = build("tracker", detect=build("detect"), lk=build("lk"))
+    for section in ("detect", "lk"):
+        r = getattr(tracker, section).window_radius
+        if 2 * r + 3 > min(sim.image_width, sim.image_height):  # window plus a 1 px rim
             raise ConfigError(
                 f"{section}: window_radius={r} needs a frame of at least {2 * r + 3} px "
                 f"per side, got {sim.image_width}x{sim.image_height}"
             )
-    return RunConfig(
-        sim=sim,
-        gains=gains,
-        detect=detect,
-        lk=lk,
-        min_alive=tracker.min_alive,
-        preset=preset,
-    )
+    return RunConfig(sim=sim, gains=gains, tracker=tracker, preset=preset)
 
 
 def config_digest(rc: RunConfig) -> dict[str, Any]:

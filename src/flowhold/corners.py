@@ -93,7 +93,7 @@ def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
     return s[k:, k:] - s[:-k, k:] - s[k:, :-k] + s[:-k, :-k]
 
 
-def response_map(image: GrayImage, window_radius: int = 2) -> np.ndarray:
+def response_map(image: GrayImage, window_radius: int) -> np.ndarray:
     """Per-pixel min-eigenvalue response over (2r+1)^2 gradient windows.
 
     Windows that exit the image use replicated-border gradients.

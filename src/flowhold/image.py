@@ -96,9 +96,9 @@ def _int_token(buf: bytes, pos: int, field: str) -> tuple[int, int]:
 def load_pgm(data: bytes) -> GrayImage:
     """Parse a binary (P5) PGM byte string into a GrayImage.
 
-    Pixel value v maps to intensity v / maxval. Header comments starting
-    with '#' are allowed; only maxval <= 255 (single-byte payload) is
-    supported.
+    Pixel value v maps to intensity v / maxval; a sample above maxval is
+    a PgmError. Header comments starting with '#' are allowed; only
+    maxval <= 255 (single-byte payload) is supported.
     """
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
@@ -119,8 +119,12 @@ def load_pgm(data: bytes) -> GrayImage:
     payload = data[pos : pos + need]
     if len(payload) < need:
         raise PgmError(f"payload: truncated, expected {need} bytes, got {len(payload)}")
-    raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-    return GrayImage((raw / maxval).reshape(height, width))
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    over = np.flatnonzero(raw > maxval)
+    if over.size:
+        i = int(over[0])
+        raise PgmError(f"payload: sample {i} is {raw[i]}, above maxval {maxval}")
+    return GrayImage((raw.astype(np.float64) / maxval).reshape(height, width))
 
 
 def save_pgm(image: GrayImage) -> bytes:

@@ -76,7 +76,7 @@ class GroundTexture:
     """
 
     seed: int
-    cell_size: float = 0.25
+    cell_size: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cell_size < math.inf:
@@ -138,6 +138,13 @@ class SimConfig:
             raise ConfigError("image dimensions must be at least 8x8")
         if not 0.0 < self.lowlight_gain <= 1.0:
             raise ConfigError("lowlight_gain must lie in (0, 1]")
+        steps = self.frame_dt / self.physics_dt  # inf for a subnormal physics_dt
+        n = round(steps) if steps < math.inf else 0
+        if n < 1 or abs(n * self.physics_dt - self.frame_dt) > 1e-9:
+            raise ConfigError(
+                f"physics_dt={self.physics_dt} must divide the frame interval "
+                f"{self.frame_dt} exactly"
+            )
 
     @property
     def frame_dt(self) -> float:
@@ -150,13 +157,8 @@ class SimConfig:
 
     @property
     def substeps(self) -> int:
-        n = round(self.frame_dt / self.physics_dt)
-        if n < 1 or abs(n * self.physics_dt - self.frame_dt) > 1e-9:
-            raise ConfigError(
-                f"physics_dt={self.physics_dt} must divide the frame interval "
-                f"{self.frame_dt} exactly"
-            )
-        return n
+        """Physics steps per camera frame; __post_init__ checks they fit exactly."""
+        return round(self.frame_dt / self.physics_dt)
 
     @property
     def ground_sample_distance(self) -> float:
@@ -205,7 +207,7 @@ def render_frame(
     tex: GroundTexture,
     vehicle: VehicleState,
     cfg: SimConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> GrayImage:
     """Nadir pinhole render of the ground texture under the vehicle.
 
@@ -215,8 +217,8 @@ def render_frame(
     world x depends on the column only and y on the row only. This is
     where blank ground is decided: with ``cfg.blank_ground`` set the
     frame is a flat 0.5 and ``tex`` is not read. Low light applies
-    clamp(gain * i + eta, 0, 1) with eta drawn from ``rng`` (a fresh
-    seeded stream when omitted).
+    clamp(gain * i + eta, 0, 1) with eta drawn from ``rng``, which is
+    read only when there is pixel noise.
     """
     if cfg.blank_ground:
         vals = np.full((cfg.image_height, cfg.image_width), 0.5)
@@ -237,8 +239,6 @@ def render_frame(
     if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:
         vals *= cfg.lowlight_gain
         if cfg.lowlight_noise > 0.0:
-            if rng is None:
-                rng = np.random.Generator(np.random.Philox(key=tex.seed + 2))
             # Same values and stream position as rng.normal(0.0, s, shape).
             eta = rng.standard_normal(vals.shape)
             eta *= cfg.lowlight_noise
@@ -326,7 +326,6 @@ def run_episode(
     ``on_tick(k, tracker_state)`` is an optional inspection hook called
     after each tick's tracker update; it must not mutate anything.
     """
-    substeps = cfg.substeps  # validates divisibility before anything runs
     if gains is None:
         gains = PidGains()
     if tracker_cfg is None:
@@ -341,6 +340,7 @@ def run_episode(
     wind = WindState()
     frame_dt = cfg.frame_dt
     n_ticks = cfg.n_ticks
+    substeps = cfg.substeps
 
     records: list[FrameRecord] = []
     state = None

@@ -77,7 +77,7 @@ class DispersionReport:
 
 
 def dispersion_stats(
-    records: Sequence[FrameRecord], settle_time: float = 5.0, frame_size_cm: float = 58.0
+    records: Sequence[FrameRecord], settle_time: float, frame_size_cm: float
 ) -> DispersionReport:
     """Population statistics over records with t >= settle_time.
 
@@ -180,7 +180,11 @@ def read_csv(data: bytes) -> list[FrameRecord]:
     Errors name the offending row (1-based, header is row 1) and, for a
     bad cell, its column.
     """
-    text = data.decode("ascii")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise CsvError(f"row {row}: non-ASCII byte {data[exc.start]:#04x}") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -109,6 +109,20 @@ class TestCorners:
         assert code == 2
         assert "nope.pgm" in err
 
+    def test_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "corners", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: image file not found: {tmp_path}\n"
+
+    def test_sample_above_maxval_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n2 2\n100\n\x00\x10\x20\xff")
+        code, out, err = run_cli(capsys, "corners", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: payload: sample 3 is 255, above maxval 100\n"
+
 
 class TestFlow:
     def test_identity_point(self, capsys, tmp_path):
@@ -206,6 +220,14 @@ class TestFlow:
         assert out == ""
         assert err == "error: image must be at least 7x7 for window_radius=2\n"
 
+    def test_sample_above_maxval_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n2 2\n100\n\x00\x10\x20\xff")
+        code, out, err = run_cli(capsys, "flow", str(bad), str(bad), "--point", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: payload: sample 3 is 255, above maxval 100\n"
+
     def test_size_mismatch_exit_2(self, capsys, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         a.write_bytes(save_pgm(GrayImage.full(32, 32, 0.5)))
@@ -240,6 +262,15 @@ class TestSimulateAndReport:
         )
         assert code == 2
         assert str(missing) in err
+
+    def test_config_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(tmp_path), "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config file not found: {tmp_path}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_field_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -338,6 +369,20 @@ class TestSimulateAndReport:
         summary = json.loads((tmp_path / "summary.json").read_text())
         for key, value in reported.items():
             assert summary[key] == pytest.approx(value, rel=1e-7), key
+
+    def test_report_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "report", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: telemetry file not found: {tmp_path}\n"
+
+    def test_report_rejects_non_ascii_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "t.csv"
+        bad.write_bytes((CSV_HEADER + "\n").encode() + b"\xff\n")
+        code, out, err = run_cli(capsys, "report", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: row 2: non-ASCII byte 0xff\n"
 
     def test_report_rejects_short_row(self, capsys, tmp_path):
         bad = tmp_path / "t.csv"

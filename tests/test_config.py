@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowhold.config import (
+    _SECTIONS,
     PRESET_NAMES,
     ConfigError,
     config_digest,
     load_run_config,
     preset_overrides,
 )
+from flowhold.sim import SimConfig
 
 
 class TestDefaults:
@@ -23,17 +26,17 @@ class TestDefaults:
         assert rc.gains.kd == 9e-4
         assert rc.gains.i_limit == 400.0
         assert rc.gains.out_limit == 0.2
-        assert rc.detect.max_corners == 20
-        assert rc.detect.quality_level == 0.05
-        assert rc.detect.min_distance == 15.0
-        assert rc.detect.window_radius == 2
-        assert rc.lk.window_radius == 10
-        assert rc.lk.pyramid_levels == 3
-        assert rc.lk.max_iterations == 30
-        assert rc.lk.epsilon == 0.01
-        assert rc.lk.min_eigen_threshold == 1e-4
-        assert rc.lk.residual_cap == 0.08
-        assert rc.min_alive == 5
+        assert rc.tracker.detect.max_corners == 20
+        assert rc.tracker.detect.quality_level == 0.05
+        assert rc.tracker.detect.min_distance == 15.0
+        assert rc.tracker.detect.window_radius == 2
+        assert rc.tracker.lk.window_radius == 10
+        assert rc.tracker.lk.pyramid_levels == 3
+        assert rc.tracker.lk.max_iterations == 30
+        assert rc.tracker.lk.epsilon == 0.01
+        assert rc.tracker.lk.min_eigen_threshold == 1e-4
+        assert rc.tracker.lk.residual_cap == 0.08
+        assert rc.tracker.min_alive == 5
         assert rc.sim.camera_rate == 25.0
         assert rc.sim.altitude == 1.0
         assert rc.sim.focal_px == 500.0
@@ -85,7 +88,8 @@ def _tree(layer):
 
 def _field(rc, key):
     section, name = key
-    return rc.min_alive if section == "tracker" else getattr(getattr(rc, section), name)
+    owner = rc.tracker if section in ("detect", "lk") else rc  # sections nested in tracker
+    return getattr(getattr(owner, section), name)
 
 
 class TestPrecedence:
@@ -126,11 +130,38 @@ class TestPrecedence:
         with pytest.raises(ConfigError, match=str(missing)):
             load_run_config(None, missing)
 
+    def test_directory_is_not_a_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="config file not found"):
+            load_run_config(None, tmp_path)
+
     def test_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_run_config(None, bad)
+
+
+class TestSchema:
+    def test_every_section_field_at_its_default_is_accepted(self):
+        # Built from the dataclasses themselves, not from the loader's type
+        # table, so a field the table dropped shows up as "unknown field".
+        tree = {}
+        for section, cls in _SECTIONS.items():
+            default = cls()
+            tree[section] = {
+                f.name: getattr(default, f.name)
+                for f in dataclasses.fields(cls)
+                if not dataclasses.is_dataclass(getattr(default, f.name))
+            }
+        assert tree["tracker"] == {"min_alive": 5}
+        assert len(tree["sim"]) == len(dataclasses.fields(SimConfig))
+        assert load_run_config(None, None, tree) == load_run_config()
+
+    def test_run_config_holds_the_built_tracker_config(self):
+        rc = load_run_config(None, None, {"tracker": {"min_alive": 3}, "lk": {"epsilon": 0.02}})
+        assert [f.name for f in dataclasses.fields(rc)] == ["sim", "gains", "tracker", "preset"]
+        assert rc.tracker_config() is rc.tracker
+        assert (rc.tracker.min_alive, rc.tracker.lk.epsilon) == (3, 0.02)
 
 
 class TestValidation:
@@ -154,6 +185,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="physics_dt"):
             load_run_config(None, None, {"sim": {"physics_dt": 0.007}})
 
+    @pytest.mark.parametrize("physics_dt", [0.007, 0.05, 5e-324])
+    def test_sim_config_checks_dt_divisibility_at_construction(self, physics_dt):
+        # 0.007 leaves a remainder, 0.05 exceeds the 0.04 s frame interval,
+        # and a subnormal step overflows the step count.
+        with pytest.raises(ConfigError, match="must divide the frame interval"):
+            SimConfig(physics_dt=physics_dt)
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -175,7 +213,7 @@ class TestValidation:
         # (2r+3 = 47), not one of radius 23 (49).
         sim = {"image_width": 64, "image_height": 48}
         rc = load_run_config(None, None, {"sim": sim, section: {"window_radius": 22}})
-        assert getattr(rc, section).window_radius == 22
+        assert getattr(rc.tracker, section).window_radius == 22
         with pytest.raises(ConfigError, match=f"^{section}: window_radius=23 needs"):
             load_run_config(None, None, {"sim": sim, section: {"window_radius": 23}})
 

@@ -74,6 +74,10 @@ class TestLoadPgm:
         with pytest.raises(PgmError, match="width"):
             load_pgm(b"P5 x 2 255 " + bytes(4))
 
+    def test_sample_above_maxval(self):
+        with pytest.raises(PgmError, match="^payload: sample 1 is 101, above maxval 100$"):
+            load_pgm(pgm_bytes(2, 2, 100, [100, 101, 0, 255]))
+
 
 class TestSavePgm:
     def test_zero_and_unit(self):

@@ -22,6 +22,11 @@ from flowhold.telemetry import dispersion_stats, write_csv
 from util import brute_render
 
 
+def quiet():
+    """A noise stream for renders that draw no pixel noise, so never read."""
+    return np.random.default_rng(0)
+
+
 def texture_at(tex, x, y):
     """Ground intensity at one world point, through the vectorized texture lookup."""
     return float(_texture_grid(tex, np.array([x]), np.array([y]))[0])
@@ -68,7 +73,7 @@ def test_ground_texture_rejects_inf_cell_size(value):
 
 class TestTexture:
     def test_deterministic(self):
-        tex = GroundTexture(seed=42)
+        tex = GroundTexture(seed=42, cell_size=0.25)
         assert texture_at(tex, 1.23, -4.56) == texture_at(tex, 1.23, -4.56)
 
     def test_constant_within_cell_changes_across(self):
@@ -85,8 +90,8 @@ class TestTexture:
         assert grid.min() >= 0.0 and grid.max() <= 1.0
 
     def test_seed_changes_field(self):
-        a = GroundTexture(seed=1)
-        b = GroundTexture(seed=2)
+        a = GroundTexture(seed=1, cell_size=0.25)
+        b = GroundTexture(seed=2, cell_size=0.25)
         assert texture_at(a, 0.1, 0.1) != texture_at(b, 0.1, 0.1)
 
 
@@ -94,12 +99,12 @@ class TestRenderFrame:
     def test_center_pixel_is_texture_under_vehicle(self):
         cfg = SimConfig(texture_seed=9, cell_size=0.125)
         tex = cfg.make_texture()
-        origin = render_frame(tex, VehicleState(), cfg)
+        origin = render_frame(tex, VehicleState(), cfg, quiet())
         assert origin.pixels[cfg.image_height // 2, cfg.image_width // 2] == texture_at(
             tex, 0.0, 0.0
         )
         v = VehicleState(x=0.30017, y=-0.1234)
-        frame = render_frame(tex, v, cfg)
+        frame = render_frame(tex, v, cfg, quiet())
         assert frame.pixels[cfg.image_height // 2, cfg.image_width // 2] == texture_at(
             tex, v.x, v.y
         )
@@ -107,25 +112,25 @@ class TestRenderFrame:
     def test_one_gsd_shift_equals_one_pixel_shift(self):
         cfg = SimConfig(texture_seed=9, cell_size=0.125)
         tex = cfg.make_texture()
-        a = render_frame(tex, VehicleState(x=0.30017, y=0.0501), cfg)
+        a = render_frame(tex, VehicleState(x=0.30017, y=0.0501), cfg, quiet())
         b = render_frame(
-            tex, VehicleState(x=0.30017 + cfg.ground_sample_distance, y=0.0501), cfg
+            tex, VehicleState(x=0.30017 + cfg.ground_sample_distance, y=0.0501), cfg, quiet()
         )
         np.testing.assert_array_equal(b.pixels[:, :-1], a.pixels[:, 1:])
 
     def test_lowlight_identity_when_disabled(self):
         cfg = SimConfig(texture_seed=9, cell_size=0.125, lowlight_gain=1.0, lowlight_noise=0.0)
         tex = cfg.make_texture()
-        a = render_frame(tex, VehicleState(), cfg)
-        b = render_frame(tex, VehicleState(), cfg)
+        a = render_frame(tex, VehicleState(), cfg, quiet())
+        b = render_frame(tex, VehicleState(), cfg, quiet())
         np.testing.assert_array_equal(a.pixels, b.pixels)
 
     def test_lowlight_gain_scales(self):
         base = SimConfig(texture_seed=9, cell_size=0.125)
         dim = SimConfig(texture_seed=9, cell_size=0.125, lowlight_gain=0.25)
         tex = base.make_texture()
-        a = render_frame(tex, VehicleState(), base)
-        b = render_frame(tex, VehicleState(), dim)
+        a = render_frame(tex, VehicleState(), base, quiet())
+        b = render_frame(tex, VehicleState(), dim, quiet())
         np.testing.assert_allclose(b.pixels, a.pixels * 0.25, atol=1e-15)
 
     def test_camera_flow_sign_consistency(self):
@@ -134,8 +139,8 @@ class TestRenderFrame:
         cfg = SimConfig(texture_seed=9, cell_size=0.125)
         tex = cfg.make_texture()
         dx_m = 3.0 * cfg.ground_sample_distance
-        a = render_frame(tex, VehicleState(x=0.30017, y=0.0501), cfg)
-        b = render_frame(tex, VehicleState(x=0.30017 + dx_m, y=0.0501), cfg)
+        a = render_frame(tex, VehicleState(x=0.30017, y=0.0501), cfg, quiet())
+        b = render_frame(tex, VehicleState(x=0.30017 + dx_m, y=0.0501), cfg, quiet())
         params = LkParams()
         pa = build_pyramid(a, params.pyramid_levels)
         pb = build_pyramid(b, params.pyramid_levels)

@@ -84,13 +84,13 @@ class TestDispersionStats:
     def test_blind_fraction(self):
         pos = [(0.0, 0.0)] * 10
         records = make_records(pos, blind_at={3, 4})
-        report = dispersion_stats(records, settle_time=0.0)
+        report = dispersion_stats(records, settle_time=0.0, frame_size_cm=58.0)
         assert report.blind_fraction == pytest.approx(0.2)
 
     def test_insufficient_records_rejected(self):
         records = make_records([(0.0, 0.0)] * 3)
         with pytest.raises(ValueError):
-            dispersion_stats(records, settle_time=1.0)
+            dispersion_stats(records, settle_time=1.0, frame_size_cm=58.0)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -106,8 +106,9 @@ class TestDispersionStats:
     )
     def test_rejects_bad_settle_or_frame_size(self, field, value):
         records = make_records([(0.1 * i, 0.0) for i in range(10)])
+        args = {"settle_time": 0.0, "frame_size_cm": 58.0, field: value}
         with pytest.raises(ValueError, match=field):
-            dispersion_stats(records, **{field: value})
+            dispersion_stats(records, **args)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -121,8 +122,8 @@ class TestDispersionStats:
         rng = np.random.default_rng(seed)
         pos = [(float(x), float(y)) for x, y in rng.normal(0, 0.05, (40, 2))]
         moved = [(x + shift_x, y + shift_y) for x, y in pos]
-        a = dispersion_stats(make_records(pos), settle_time=0.0)
-        b = dispersion_stats(make_records(moved), settle_time=0.0)
+        a = dispersion_stats(make_records(pos), settle_time=0.0, frame_size_cm=58.0)
+        b = dispersion_stats(make_records(moved), settle_time=0.0, frame_size_cm=58.0)
         assert b.std_x == pytest.approx(a.std_x, abs=1e-12)
         assert b.std_y == pytest.approx(a.std_y, abs=1e-12)
         assert b.two_sigma_radial == pytest.approx(a.two_sigma_radial, abs=1e-9)
@@ -137,8 +138,8 @@ class TestDispersionStats:
         rng = np.random.default_rng(seed)
         pos = [(float(x), float(y)) for x, y in rng.normal(0, 0.05, (40, 2))]
         scaled = [(x * alpha, y * alpha) for x, y in pos]
-        a = dispersion_stats(make_records(pos), settle_time=0.0)
-        b = dispersion_stats(make_records(scaled), settle_time=0.0)
+        a = dispersion_stats(make_records(pos), settle_time=0.0, frame_size_cm=58.0)
+        b = dispersion_stats(make_records(scaled), settle_time=0.0, frame_size_cm=58.0)
         assert b.std_x == pytest.approx(alpha * a.std_x, rel=1e-9)
         assert b.two_sigma_radial == pytest.approx(alpha * a.two_sigma_radial, rel=1e-9)
         assert b.max_excursion == pytest.approx(alpha * a.max_excursion, rel=1e-9)
@@ -181,6 +182,11 @@ class TestCsv:
     def test_read_rejects_wrong_field_count(self):
         data = (CSV_HEADER + "\n" + "1,2,3\n").encode()
         with pytest.raises(CsvError, match="row 2"):
+            read_csv(data)
+
+    def test_read_rejects_non_ascii(self):
+        data = (CSV_HEADER + "\n0,0,0,0,0,,,,0,0,1,1,\n").encode() + b"0,\xe9\n"
+        with pytest.raises(CsvError, match="^row 3: non-ASCII byte 0xe9$"):
             read_csv(data)
 
     def test_read_rejects_bad_header(self):
@@ -270,12 +276,12 @@ class TestSummaryJson:
 
     def test_serialization_deterministic(self):
         records = make_records([(0.1 * i, -0.05 * i) for i in range(20)])
-        report = dispersion_stats(records, settle_time=0.0)
+        report = dispersion_stats(records, settle_time=0.0, frame_size_cm=58.0)
         assert write_summary_json(report) == write_summary_json(report)
 
     def test_digest_prepended(self):
         records = make_records([(0.0, 0.0)] * 4)
-        report = dispersion_stats(records, settle_time=0.0)
+        report = dispersion_stats(records, settle_time=0.0, frame_size_cm=58.0)
         data = write_summary_json(report, {"preset": "calm", "texture_seed": 11})
         obj = json.loads(data)
         assert obj["preset"] == "calm"

@@ -26,7 +26,7 @@ from util import smooth_texture
 def textured_frame(x=0.0, y=0.0, seed=11):
     cfg = SimConfig(texture_seed=seed, cell_size=0.125)
     tex = GroundTexture(seed=seed, cell_size=0.125)
-    return render_frame(tex, VehicleState(x=x, y=y), cfg), cfg
+    return render_frame(tex, VehicleState(x=x, y=y), cfg, np.random.default_rng(0)), cfg
 
 
 def small_config():
