@@ -104,6 +104,10 @@ def response_map(image: GrayImage, window_radius: int) -> np.ndarray:
             f"image must be at least {need}x{need} for window_radius={window_radius}"
         )
     ix, iy = sobel_gradients(np.pad(image.pixels, 1, mode="edge"))
+    if not (ix.any() or iy.any()):
+        # Flat image: every tensor is zero, and so is the box-sum path's
+        # response, bit for bit (+0.0 everywhere).
+        return np.zeros(ix.shape)
     a = _box_sum(ix * ix, window_radius)
     b = _box_sum(ix * iy, window_radius)
     c = _box_sum(iy * iy, window_radius)

@@ -145,8 +145,12 @@ def bilinear_many(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     fy = ys - y0
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    top = pixels[y0, x0] * (1.0 - fx) + pixels[y0, x1] * fx
-    bot = pixels[y1, x0] * (1.0 - fx) + pixels[y1, x1] * fx
+    # Flat gathers: the same elements as pixels[y, x], without 2-d indexing.
+    flat = pixels.ravel()
+    r0 = y0 * w
+    r1 = y1 * w
+    top = flat.take(r0 + x0) * (1.0 - fx) + flat.take(r0 + x1) * fx
+    bot = flat.take(r1 + x0) * (1.0 - fx) + flat.take(r1 + x1) * fx
     return top * (1.0 - fy) + bot * fy
 
 

@@ -334,6 +334,23 @@ class TestSimulateAndReport:
         assert err == f"error: --sweep must be >= 1, got {count}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "seed_args",
+        [["--texture-seed", "-3"], ["--texture-seed", str(2**128)],
+         ["--texture-seed", str(2**128 - 3), "--sweep", "2"]],
+        ids=["negative", "2**128", "sweep-past-top"],
+    )
+    def test_texture_seed_beyond_philox_key_exit_2(self, capsys, tmp_path, seed_args):
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "0.1", *seed_args,
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "texture_seed must lie in [-1, 2**128 - 3]" in err
+        assert not out_dir.exists()  # no seed of a sweep flies
+
     @pytest.mark.parametrize("route", ["set", "config"])
     @pytest.mark.parametrize(
         "raw", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],

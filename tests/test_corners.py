@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowhold import corners as corners_module
 from flowhold.corners import (
     DetectParams,
     Rect,
@@ -12,7 +13,7 @@ from flowhold.corners import (
     min_eigenvalue,
     response_map,
 )
-from flowhold.image import GrayImage
+from flowhold.image import GrayImage, sobel_gradients
 
 from util import brute_detect, brute_response_map, brute_select, square_fixture
 
@@ -73,6 +74,29 @@ class TestResponseMap:
     def test_constant_is_flat(self):
         resp = response_map(GrayImage.full(16, 12, 0.7), 2)
         assert resp.max() == 0.0
+
+    @pytest.mark.parametrize("value", [0.0, 1.0 / 3.0, 0.7, 1.0])
+    @pytest.mark.parametrize(
+        "shape, radius", [((5, 5), 1), ((12, 16), 2), ((31, 9), 3), ((40, 40), 4), ((363, 483), 2)]
+    )
+    def test_flat_image_equals_box_sum_path(self, monkeypatch, value, shape, radius):
+        h, w = shape
+        img = GrayImage(np.full(shape, value))
+        ix, iy = sobel_gradients(np.pad(img.pixels, 1, mode="edge"))
+        box = [corners_module._box_sum(p, radius) for p in (ix * ix, ix * iy, iy * iy)]
+        want = min_eigenvalue(*box)
+        calls = []
+
+        def counted(p):
+            calls.append(p.shape)
+            return sobel_gradients(p)
+
+        # The shortcut runs after Sobel, through the module global.
+        monkeypatch.setattr(corners_module, "sobel_gradients", counted)
+        got = response_map(img, radius)
+        assert calls == [(h + 2, w + 2)]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_step_edge_interior_is_edge(self):
         px = np.full((24, 24), 0.1)

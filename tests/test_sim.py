@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowhold.control import AttitudeCommand
 from flowhold.flow import LkParams, build_pyramid, track_points
@@ -16,6 +18,7 @@ from flowhold.sim import (
     step_dynamics,
     wind_step,
     _texture_grid,
+    _texture_runs,
 )
 from flowhold.telemetry import dispersion_stats, write_csv
 
@@ -58,6 +61,18 @@ def test_sim_config_rejects_nan(field):
 def test_sim_config_rejects_inf(field):
     with pytest.raises(ConfigError, match=field):
         SimConfig(**{field: math.inf})
+
+
+@pytest.mark.parametrize("seed", [-2, -3, 2**128 - 2, 2**128], ids=repr)
+def test_sim_config_rejects_texture_seed_beyond_philox_key(seed):
+    # run_episode keys its Philox streams with texture_seed + 1 and + 2.
+    with pytest.raises(ConfigError, match="texture_seed"):
+        SimConfig(texture_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128 - 3], ids=repr)
+def test_texture_seed_at_either_end_flies(seed):
+    assert len(run_episode(SimConfig(texture_seed=seed, duration=0.04))) == 2
 
 
 def test_ground_texture_rejects_nan_cell_size():
@@ -160,14 +175,32 @@ RENDER_YAWS = [0.0, -0.0, 1e-300, 0.15, math.pi, -2.5]
 
 
 def _render_scene(scene):
-    """(config, texture) pairs that reach each branch of the render."""
+    """Configs that reach each branch of the render."""
     if scene == "lowlight":
-        cfg = SimConfig(texture_seed=9, cell_size=0.125, lowlight_gain=0.25, lowlight_noise=0.02)
-    elif scene == "cells_finer_than_pixels":
-        cfg = SimConfig(texture_seed=9, cell_size=1e-3 / 1.7)
-    else:
-        cfg = SimConfig(texture_seed=9, cell_size=0.125, blank_ground=scene == "blank_ground")
-    return cfg, cfg.make_texture()
+        return SimConfig(texture_seed=9, cell_size=0.125, lowlight_gain=0.25, lowlight_noise=0.02)
+    if scene == "cells_finer_than_pixels":
+        return SimConfig(texture_seed=9, cell_size=1e-3 / 1.7)
+    return SimConfig(texture_seed=9, cell_size=0.125, blank_ground=scene == "blank_ground")
+
+
+# Yaws for the run-length route: random ones, and ones within 1e-12 of
+# an axis, where one cell index barely moves along a row.
+RUN_YAWS = [float(y) for y in np.random.default_rng(11).uniform(-4.0, 4.0, 4)]
+RUN_YAWS += [a + d for a in (math.pi / 2, -math.pi / 2, math.pi) for d in (-1e-12, 1e-12)]
+# Cells in metres at the default 2 mm per pixel: 0.016 m is one 8-px
+# block, and cells from 0.032 m (two blocks) up take the run-length route.
+RUN_CELLS = [0.25, 0.05, 0.0321, 0.0319, 0.02, 0.0161, 0.016, 0.0159]
+
+
+def _assert_renders_match(cfg, vehicle, seed=77):
+    tex = cfg.make_texture()
+    ours = np.random.Generator(np.random.Philox(key=seed))
+    theirs = np.random.Generator(np.random.Philox(key=seed))
+    got = render_frame(tex, vehicle, cfg, ours).pixels
+    want = brute_render(tex, vehicle, cfg, theirs)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert ours.random() == theirs.random()
 
 
 class TestRenderOracle:
@@ -176,20 +209,55 @@ class TestRenderOracle:
         "scene", ["plain", "blank_ground", "lowlight", "cells_finer_than_pixels"]
     )
     def test_matches_per_pixel_hash(self, scene, yaw):
-        cfg, tex = _render_scene(scene)
+        cfg = _render_scene(scene)
         rng = np.random.default_rng(5)
         positions = [(0.0, 0.0), (0.25, -0.125)]  # cell edges through the centre pixel
         positions += [tuple(rng.uniform(-0.3, 0.3, 2)) for _ in range(2)]
         positions += [tuple(rng.uniform(-5e3, 5e3, 2))]
-        ours = np.random.Generator(np.random.Philox(key=77))
-        theirs = np.random.Generator(np.random.Philox(key=77))
         for x, y in positions:
-            vehicle = VehicleState(x=x, y=y, yaw=yaw)
-            got = render_frame(tex, vehicle, cfg, ours).pixels
-            want = brute_render(tex, vehicle, cfg, theirs)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            assert ours.random() == theirs.random()
+            _assert_renders_match(cfg, VehicleState(x=x, y=y, yaw=yaw))
+
+    @pytest.mark.parametrize("yaw", RUN_YAWS, ids=repr)
+    @pytest.mark.parametrize("cell", RUN_CELLS, ids=repr)
+    def test_rotated_cells_match_per_pixel_hash(self, cell, yaw):
+        rng = np.random.default_rng(3)
+        # 203 columns leave a 3-column last block.
+        for w, h in [(640, 480), (203, 61)]:
+            cfg = SimConfig(texture_seed=9, cell_size=cell, image_width=w, image_height=h)
+            for x, y in [(0.0, 0.0), tuple(rng.uniform(-40.0, 40.0, 2))]:
+                _assert_renders_match(cfg, VehicleState(x=x, y=y, yaw=yaw))
+
+    @pytest.mark.parametrize("cell_px", [0.9, 3.0, 7.95, 8.05, 12.5], ids=repr)
+    def test_runs_exact_when_cells_cross_every_block(self, cell_px):
+        # render_frame routes these cells per pixel for speed; the runs
+        # stay exact with several cell edges inside one block.
+        cfg = SimConfig(texture_seed=9, cell_size=cell_px * 0.002, image_width=203, image_height=61)
+        u = np.arange(203, dtype=np.float64) - 101
+        v = (np.arange(61, dtype=np.float64) - 30)[:, None]
+        for yaw in RUN_YAWS:
+            vehicle = VehicleState(x=1.3, y=-0.7, yaw=yaw)
+            got = _texture_runs(
+                cfg.make_texture(), vehicle, cfg.ground_sample_distance,
+                math.cos(yaw), math.sin(yaw), u, v,
+            )
+            assert got.tobytes() == brute_render(cfg.make_texture(), vehicle, cfg).tobytes()
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        yaw=st.floats(-4.0, 4.0),
+        x=st.floats(-100.0, 100.0),
+        y=st.floats(-100.0, 100.0),
+        cell=st.sampled_from([0.0319, 0.0321, 0.125]) | st.floats(0.003, 0.4),
+        w=st.integers(8, 200),
+        h=st.integers(8, 120),
+        noise=st.sampled_from([0.0, 0.02]),
+    )
+    def test_any_frame_matches_per_pixel_hash(self, yaw, x, y, cell, w, h, noise):
+        cfg = SimConfig(
+            texture_seed=5, cell_size=cell, image_width=w, image_height=h,
+            lowlight_gain=0.5 if noise else 1.0, lowlight_noise=noise,
+        )
+        _assert_renders_match(cfg, VehicleState(x=x, y=y, yaw=yaw))
 
 
 class TestWind:
