@@ -131,7 +131,7 @@ def detect_corners(image: GrayImage, roi: Rect, params: DetectParams) -> list[Co
     need = 2 * r + 3
     h = min(max(roi.y + roi.h + r + 1, need), image.height)
     w = min(max(roi.x + roi.w + r + 1, need), image.width)
-    resp = response_map(GrayImage(image.pixels[:h, :w]), r)
+    resp = response_map(GrayImage._trusted(image.pixels[:h, :w]), r)
     sub = resp[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w]
     peak = float(sub.max())
     if peak <= 0.0:

@@ -131,7 +131,7 @@ def build_pyramid(image: GrayImage, levels: int) -> Pyramid:
         down += block[1::2, 0::2]
         down += block[1::2, 1::2]
         down *= 0.25
-        out.append(GrayImage(down))
+        out.append(GrayImage._trusted(down))
     return Pyramid(levels=tuple(out))
 
 

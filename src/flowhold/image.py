@@ -63,6 +63,15 @@ class GrayImage:
     def full(cls, width: int, height: int, value: float) -> "GrayImage":
         return cls(np.full((height, width), value, dtype=np.float64))
 
+    @classmethod
+    def _trusted(cls, px: np.ndarray) -> "GrayImage":
+        # For frames the program builds itself: the caller guarantees a
+        # non-empty 2-d float64 array in [0, 1], so the checks are skipped.
+        img = object.__new__(cls)
+        px.setflags(write=False)
+        object.__setattr__(img, "pixels", px)
+        return img
+
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     # Skips whitespace and '#' comment lines, then reads one token.

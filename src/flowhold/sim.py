@@ -7,6 +7,12 @@ gusts, and optional low-light degradation. One episode runs the full
 vision/control loop at the camera rate with fixed-step physics
 substeps in between, and is bit-reproducible from its config.
 
+A frame's pixel noise depends only on the noise stream's position, so
+``run_episode`` draws the next frame's noise on a helper thread while
+the current frame is tracked and flown. ``render_frame`` takes any
+object with ``standard_normal(shape)`` whose draws come in stream order,
+so the pipelined draw gives the same bytes as a plain Generator.
+
 The render has three routes, listed in ``render_frame``, chosen by its
 inputs and equal in bytes to flooring every pixel's world coordinates.
 The run-length route is exact because each rounded step of
@@ -19,6 +25,7 @@ it too, and a row's extreme cells lie at its ends.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,7 +299,9 @@ def render_frame(
     This is where blank ground is decided: with ``cfg.blank_ground`` set
     the frame is a flat 0.5 and ``tex`` is not read. Low light applies
     clamp(gain * i + eta, 0, 1) with eta drawn from ``rng``, which is
-    read only when there is pixel noise.
+    read only when there is pixel noise. ``rng`` is any object with
+    ``standard_normal(shape)`` that returns the stream's next draws in
+    order; the returned array is scaled in place and not kept.
     """
     if cfg.blank_ground:
         vals = np.full((cfg.image_height, cfg.image_width), 0.5)
@@ -319,7 +328,47 @@ def render_frame(
             eta *= cfg.lowlight_noise
             vals += eta
         np.clip(vals, 0.0, 1.0, out=vals)
-    return GrayImage(vals)
+    return GrayImage._trusted(vals)
+
+
+class _NoiseAhead:
+    """Pixel noise drawn one frame ahead on a helper thread.
+
+    ``standard_normal`` waits for the draw ``fill`` started, or draws on
+    the spot, and returns one reused buffer of the shape given here. The
+    stream is read in order, so the values equal ``rng``'s own draws.
+    numpy releases the GIL while it fills, so the helper uses another core.
+    """
+
+    def __init__(self, rng: np.random.Generator, shape: tuple[int, int]) -> None:
+        self._rng = rng
+        self._buf = np.empty(shape)
+        self._thread: threading.Thread | None = None
+        self._error: Exception | None = None
+
+    def _draw(self) -> None:
+        try:
+            self._rng.standard_normal(out=self._buf)
+        except Exception as exc:  # raised again in the caller's thread
+            self._error = exc
+
+    def fill(self) -> None:
+        """Start drawing the next frame's noise on a helper thread."""
+        self._thread = threading.Thread(target=self._draw)
+        self._thread.start()
+
+    def join(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    def standard_normal(self, shape: tuple[int, int]) -> np.ndarray:
+        if self._thread is None:
+            self._draw()
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._buf
 
 
 def wind_step(
@@ -400,6 +449,9 @@ def run_episode(
 
     ``on_tick(k, tracker_state)`` is an optional inspection hook called
     after each tick's tracker update; it must not mutate anything.
+
+    With pixel noise, the next frame's noise is drawn on a helper thread
+    during the rest of the tick; no helper outlives the call.
     """
     if gains is None:
         gains = PidGains()
@@ -408,7 +460,10 @@ def run_episode(
 
     tex = cfg.make_texture()
     wind_rng = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 1))
-    noise_rng = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 2))
+    noise = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 2))
+    ahead = cfg.lowlight_noise > 0.0
+    if ahead:
+        noise = _NoiseAhead(noise, (cfg.image_height, cfg.image_width))
 
     controller = PositionHoldController(gains)
     vehicle = VehicleState(x=cfg.start_x, y=cfg.start_y)
@@ -422,53 +477,59 @@ def run_episode(
     prev_img = prev_pyr = None
     last_best = None
 
-    for k in range(n_ticks + 1):
-        img = render_frame(tex, vehicle, cfg, noise_rng)
-        pyr = build_pyramid(img, tracker_cfg.lk.pyramid_levels)
-        flags = set()
-        if state is None:
-            state = acquire(img, tracker_cfg)
-        else:
-            state, events = advance(
-                state, prev_img, img, tracker_cfg,
-                prev_pyramid=prev_pyr, next_pyramid=pyr,
-            )
-            for ev in events:
-                if isinstance(ev, FeatureLost):
-                    flags.add("feature_lost")
-                elif isinstance(ev, Reacquired):
-                    flags.add("reacquired")
-        if state.blind:
-            flags.add("blind")
-        if on_tick is not None:
-            on_tick(k, state)
+    try:
+        for k in range(n_ticks + 1):
+            img = render_frame(tex, vehicle, cfg, noise)
+            if ahead and k < n_ticks:
+                noise.fill()
+            pyr = build_pyramid(img, tracker_cfg.lk.pyramid_levels)
+            flags = set()
+            if state is None:
+                state = acquire(img, tracker_cfg)
+            else:
+                state, events = advance(
+                    state, prev_img, img, tracker_cfg,
+                    prev_pyramid=prev_pyr, next_pyramid=pyr,
+                )
+                for ev in events:
+                    if isinstance(ev, FeatureLost):
+                        flags.add("feature_lost")
+                    elif isinstance(ev, Reacquired):
+                        flags.add("reacquired")
+            if state.blind:
+                flags.add("blind")
+            if on_tick is not None:
+                on_tick(k, state)
 
-        if state.best_id != last_best:
-            controller.reset_derivative()
-            last_best = state.best_id
+            if state.best_id != last_best:
+                controller.reset_derivative()
+                last_best = state.best_id
 
-        disp = best_displacement(state, cfg.image_width, cfg.image_height)
-        cmd = controller.step(disp, frame_dt)
-        records.append(
-            FrameRecord(
-                t=k * frame_dt,
-                pos_x=vehicle.x,
-                pos_y=vehicle.y,
-                vel_x=vehicle.vx,
-                vel_y=vehicle.vy,
-                disp_x=None if disp is None else disp.x,
-                disp_y=None if disp is None else disp.y,
-                disp_d=None if disp is None else disp.d,
-                cmd_roll=cmd.roll,
-                cmd_pitch=cmd.pitch,
-                n_alive=state.n_alive,
-                generation=state.generation,
-                events=frozenset(flags),
+            disp = best_displacement(state, cfg.image_width, cfg.image_height)
+            cmd = controller.step(disp, frame_dt)
+            records.append(
+                FrameRecord(
+                    t=k * frame_dt,
+                    pos_x=vehicle.x,
+                    pos_y=vehicle.y,
+                    vel_x=vehicle.vx,
+                    vel_y=vehicle.vy,
+                    disp_x=None if disp is None else disp.x,
+                    disp_y=None if disp is None else disp.y,
+                    disp_d=None if disp is None else disp.d,
+                    cmd_roll=cmd.roll,
+                    cmd_pitch=cmd.pitch,
+                    n_alive=state.n_alive,
+                    generation=state.generation,
+                    events=frozenset(flags),
+                )
             )
-        )
-        if k < n_ticks:
-            for _ in range(substeps):
-                wind = wind_step(wind, cfg, cfg.physics_dt, wind_rng)
-                vehicle = step_dynamics(vehicle, cmd, wind, cfg, cfg.physics_dt)
-        prev_img, prev_pyr = img, pyr
+            if k < n_ticks:
+                for _ in range(substeps):
+                    wind = wind_step(wind, cfg, cfg.physics_dt, wind_rng)
+                    vehicle = step_dynamics(vehicle, cmd, wind, cfg, cfg.physics_dt)
+            prev_img, prev_pyr = img, pyr
+    finally:
+        if ahead:
+            noise.join()
     return records

@@ -1,10 +1,14 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowhold import sim
+from flowhold.config import load_run_config
 from flowhold.control import AttitudeCommand
 from flowhold.flow import LkParams, build_pyramid, track_points
 from flowhold.sim import (
@@ -17,6 +21,7 @@ from flowhold.sim import (
     run_episode,
     step_dynamics,
     wind_step,
+    _NoiseAhead,
     _texture_grid,
     _texture_runs,
 )
@@ -402,3 +407,106 @@ class TestRunEpisode:
         run_episode(cfg, on_tick=lambda k, s: seen.append((k, s.generation)))
         assert [k for k, _ in seen] == list(range(11))
         assert all(g >= 1 for _, g in seen)
+
+
+def test_program_built_frames_keep_the_image_invariants():
+    # Render and pyramid levels skip GrayImage's checks; they must still
+    # hold, and the arrays must be frozen like a checked image's.
+    cfg = SimConfig(texture_seed=3, cell_size=0.125, lowlight_gain=0.5, lowlight_noise=0.2)
+    frame = render_frame(cfg.make_texture(), VehicleState(), cfg, np.random.default_rng(1))
+    for level in build_pyramid(frame, 3).levels:
+        px = level.pixels
+        assert px.dtype == np.float64 and not px.flags.writeable
+        assert 0.0 <= px.min() and px.max() <= 1.0
+
+
+def philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def lowlight(duration):
+    return load_run_config("lowlight", None, {"sim": {"duration": duration}}).sim
+
+
+class TestNoiseAhead:
+    @pytest.mark.parametrize("shape", [(61, 203), (480, 640)])
+    def test_draws_equal_the_serial_stream(self, shape):
+        # run_episode's order: draw a frame, then start the next fill
+        # after every frame but the last.
+        n = 6
+        rng = philox(2026)
+        source = _NoiseAhead(rng, shape)
+        serial = philox(2026)
+        for k in range(n + 1):
+            got = source.standard_normal(shape)
+            assert got.tobytes() == serial.standard_normal(shape).tobytes()
+            if k < n:
+                source.fill()
+        source.join()
+        np.testing.assert_equal(rng.bit_generator.state, serial.bit_generator.state)
+
+    def test_episode_draws_no_frame_past_the_last(self, monkeypatch):
+        sources = []
+        render = sim.render_frame
+
+        def spy(tex, vehicle, cfg, rng):
+            sources.append(rng)
+            return render(tex, vehicle, cfg, rng)
+
+        monkeypatch.setattr(sim, "render_frame", spy)
+        cfg = lowlight(0.4)
+        records = run_episode(cfg)
+        serial = philox(cfg.texture_seed + 2)
+        for _ in records:
+            serial.standard_normal((cfg.image_height, cfg.image_width))
+        assert len({id(s) for s in sources}) == 1
+        np.testing.assert_equal(sources[0]._rng.bit_generator.state, serial.bit_generator.state)
+
+    def test_helper_error_reaches_the_caller(self):
+        class Broken:
+            def standard_normal(self, out):
+                raise FloatingPointError("draw failed")
+
+        source = _NoiseAhead(Broken(), (8, 8))
+        source.fill()
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            source.standard_normal((8, 8))
+
+
+class TestNoiseThread:
+    def test_no_helper_outlives_the_episode(self):
+        before = threading.active_count()
+        alive = []
+        run_episode(lowlight(0.4), on_tick=lambda k, s: alive.append(threading.active_count()))
+        assert max(alive) <= before + 1
+        assert threading.active_count() == before
+
+    def test_no_helper_outlives_a_raising_on_tick(self, monkeypatch):
+        # A slow draw keeps the helper alive when on_tick raises.
+        draw = _NoiseAhead._draw
+
+        def slow_draw(source):
+            time.sleep(0.05)
+            draw(source)
+
+        monkeypatch.setattr(_NoiseAhead, "_draw", slow_draw)
+        before = threading.active_count()
+        boom = RuntimeError("tick 3")
+
+        def on_tick(k, state):
+            if k == 3:
+                raise boom
+
+        with pytest.raises(RuntimeError) as info:
+            run_episode(lowlight(0.4), on_tick=on_tick)
+        assert info.value is boom
+        assert threading.active_count() == before
+
+    def test_noise_free_episode_starts_no_thread(self, monkeypatch):
+        def start(self):
+            raise AssertionError("a noise-free episode started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        rc = load_run_config("calm", None, {"sim": {"duration": 0.4}})
+        assert rc.sim.lowlight_noise == 0.0
+        assert len(run_episode(rc.sim, rc.gains, rc.tracker_config())) == 11
