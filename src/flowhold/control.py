@@ -133,8 +133,7 @@ class PositionHoldController:
         if dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")
         if displacement is None:
-            self.roll_state = reset_derivative(self.roll_state)
-            self.pitch_state = reset_derivative(self.pitch_state)
+            self.reset_derivative()
             return AttitudeCommand(pitch=0.0, roll=0.0)
         roll, self.roll_state = pid_step(self.roll_gains, self.roll_state, displacement.x, dt)
         pitch, self.pitch_state = pid_step(

@@ -7,10 +7,11 @@ takes candidates above a quality threshold relative to the strongest
 response, greedily by descending response with minimum-distance
 suppression.
 
-Detection cuts the frame r+1 rows below and r+1 columns right of the
-ROI (r the window radius; at least 2r+3, at most the frame), which
-leaves the response inside the ROI bit-identical: the cut keeps the
-origin of the window-sum prefix sums, where a top or left cut would not.
+Window sums add their (2r+1)^2 values in one fixed order, rows then
+columns, so a response depends only on the gradients in its window (r)
+and the pixels under their Sobel taps (1). Detection computes it on the
+ROI plus r+1 on each side, edge-replicated only where that cut meets
+the frame border, and so gets the full frame's bits.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class Rect:
     w: int
     h: int
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x <= x < self.x + self.w and self.y <= y < self.y + self.h
-
 
 @dataclass(frozen=True)
 class DetectParams:
@@ -85,12 +83,11 @@ def min_eigenvalue(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
     """Sum over the (2r+1)^2 window around each pixel, edge-replicated."""
+    h, w = arr.shape
     k = 2 * radius + 1
     p = np.pad(arr, radius, mode="edge")
-    s = np.zeros((p.shape[0] + 1, p.shape[1] + 1), dtype=np.float64)
-    np.cumsum(p, axis=0, out=s[1:, 1:])
-    np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
-    return s[k:, k:] - s[:-k, k:] - s[k:, :-k] + s[:-k, :-k]
+    rows = sum((p[i : i + h] for i in range(1, k)), p[:h])
+    return sum((rows[:, j : j + w] for j in range(1, k)), rows[:, :w])
 
 
 def response_map(image: GrayImage, window_radius: int) -> np.ndarray:
@@ -120,7 +117,8 @@ def detect_corners(image: GrayImage, roi: Rect, params: DetectParams) -> list[Co
     Candidates must exceed quality_level times the max response in the
     ROI; each pick suppresses later candidates within min_distance
     (Euclidean). Ties in response break by row-major position, which
-    makes detection fully deterministic.
+    makes detection fully deterministic. The response is computed on the
+    ROI plus r+1 per side, clipped at the frame and grown to 2r+3.
     """
     if roi.w < 1 or roi.h < 1:
         raise ValueError(f"roi must be non-empty, got {roi.w}x{roi.h}")
@@ -129,10 +127,12 @@ def detect_corners(image: GrayImage, roi: Rect, params: DetectParams) -> list[Co
 
     r = params.window_radius
     need = 2 * r + 3
-    h = min(max(roi.y + roi.h + r + 1, need), image.height)
-    w = min(max(roi.x + roi.w + r + 1, need), image.width)
-    resp = response_map(GrayImage._trusted(image.pixels[:h, :w]), r)
-    sub = resp[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w]
+    y0 = min(max(roi.y - r - 1, 0), max(image.height - need, 0))
+    x0 = min(max(roi.x - r - 1, 0), max(image.width - need, 0))
+    y1 = max(min(roi.y + roi.h + r + 1, image.height), min(need, image.height))
+    x1 = max(min(roi.x + roi.w + r + 1, image.width), min(need, image.width))
+    resp = response_map(GrayImage._trusted(image.pixels[y0:y1, x0:x1]), r)
+    sub = resp[roi.y - y0 : roi.y - y0 + roi.h, roi.x - x0 : roi.x - x0 + roi.w]
     peak = float(sub.max())
     if peak <= 0.0:
         return []

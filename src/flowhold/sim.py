@@ -377,14 +377,13 @@ def wind_step(
     """Per-axis Ornstein-Uhlenbeck update of the gust acceleration."""
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
+    decay = 1.0 - cfg.wind_rate * dt
     if cfg.wind_sigma == 0.0:
         # No forcing, pure mean reversion; the rng is untouched so
         # toggling wind never perturbs other streams.
-        decay = 1.0 - cfg.wind_rate * dt
         return WindState(ax=wind.ax * decay, ay=wind.ay * decay)
     nx, ny = rng.normal(0.0, 1.0, 2)
     kick = cfg.wind_sigma * math.sqrt(dt)
-    decay = 1.0 - cfg.wind_rate * dt
     return WindState(ax=wind.ax * decay + kick * nx, ay=wind.ay * decay + kick * ny)
 
 

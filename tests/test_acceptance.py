@@ -23,7 +23,7 @@ from flowhold.sim import run_episode
 from flowhold.telemetry import FrameRecord, dispersion_stats, write_csv, write_summary_json
 from flowhold.tracker import center_roi
 
-from util import brute_detect, brute_response_map, smooth_texture
+from util import brute_detect, brute_response_map, in_rect, smooth_texture
 
 
 @contextmanager
@@ -254,7 +254,7 @@ def test_criterion_9_reacquisition_under_yaw(outdoor300):
         assert reacquired_positions  # observer saw every new generation
         for positions in reacquired_positions:
             for x, y in positions:
-                assert roi.contains(x, y)
+                assert in_rect(roi, x, y)
 
 
 @pytest.mark.slow

@@ -15,7 +15,7 @@ from flowhold.corners import (
 )
 from flowhold.image import GrayImage, sobel_gradients
 
-from util import brute_detect, brute_response_map, brute_select, square_fixture
+from util import brute_detect, brute_response_map, brute_select, in_rect, square_fixture
 
 
 @st.composite
@@ -97,6 +97,32 @@ class TestResponseMap:
         assert calls == [(h + 2, w + 2)]
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 10_000),
+        radius=st.integers(1, 4),
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        data=st.data(),
+    )
+    def test_box_sum_ignores_where_the_array_starts(self, seed, radius, shape, data):
+        # Every output whose window stays inside the cut, or leaves it only
+        # across a border the cut shares with the array, equals the whole
+        # array's output bit for bit.
+        h, w = shape
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        y0 = data.draw(st.integers(0, h - 1))
+        x0 = data.draw(st.integers(0, w - 1))
+        y1 = data.draw(st.integers(y0 + 1, h))
+        x1 = data.draw(st.integers(x0 + 1, w))
+        cut = corners_module._box_sum(a[y0:y1, x0:x1], radius)
+        whole = corners_module._box_sum(a, radius)[y0:y1, x0:x1]
+        top = 0 if y0 == 0 else radius
+        left = 0 if x0 == 0 else radius
+        bottom = y1 - y0 - (0 if y1 == h else radius)
+        right = x1 - x0 - (0 if x1 == w else radius)
+        assert cut[top:bottom, left:right].tobytes() == whole[top:bottom, left:right].tobytes()
 
     def test_step_edge_interior_is_edge(self):
         px = np.full((24, 24), 0.1)
@@ -188,9 +214,9 @@ class TestDetectCorners:
     @example(case=(4, (40, 48), Rect(47, 39, 1, 1), 1))
     @example(case=(5, (9, 9), Rect(0, 0, 9, 9), 3))
     def test_roi_cut_equals_full_frame_response(self, case):
-        # detect_corners computes the response on a frame cut below and
-        # right of the ROI; its picks must equal those a full-frame
-        # response map gives, response values included, bit for bit.
+        # detect_corners computes the response on the ROI plus its support;
+        # its picks must equal those a full-frame response map gives,
+        # response values included, bit for bit.
         seed, shape, roi, radius = case
         rng = np.random.default_rng(seed)
         img = GrayImage(rng.uniform(0, 1, shape))
@@ -198,6 +224,35 @@ class TestDetectCorners:
                               window_radius=radius)
         want = brute_select(response_map(img, radius), roi, params)
         assert detect_corners(img, roi, params) == want
+
+    @pytest.mark.parametrize(
+        "roi, cut",
+        [
+            (Rect(160, 120, 320, 240), (slice(117, 363), slice(157, 483))),
+            (Rect(0, 0, 100, 50), (slice(0, 53), slice(0, 103))),
+            (Rect(540, 430, 100, 50), (slice(427, 480), slice(537, 640))),
+            (Rect(0, 200, 640, 10), (slice(197, 213), slice(0, 640))),
+            (Rect(0, 0, 1, 1), (slice(0, 7), slice(0, 7))),
+            (Rect(639, 479, 1, 1), (slice(473, 480), slice(633, 640))),
+            (Rect(300, 479, 2, 1), (slice(473, 480), slice(297, 305))),
+        ],
+    )
+    def test_response_support_is_the_roi_plus_r_plus_1(self, monkeypatch, roi, cut):
+        # detect_corners hands response_map the ROI plus r+1 on every side,
+        # clipped at the frame and grown to 2r+3, and no more.
+        img = GrayImage(np.random.default_rng(5).uniform(0, 1, (480, 640)))
+        seen = []
+
+        def recorded(image, window_radius):
+            seen.append(image.pixels)
+            return response_map(image, window_radius)
+
+        monkeypatch.setattr(corners_module, "response_map", recorded)
+        got = detect_corners(img, roi, DetectParams(window_radius=2))
+        assert len(seen) == 1
+        assert seen[0].shape == img.pixels[cut].shape
+        assert seen[0].tobytes() == img.pixels[cut].tobytes()
+        assert got == brute_select(response_map(img, 2), roi, DetectParams(window_radius=2))
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000))
@@ -221,7 +276,7 @@ class TestDetectCorners:
         responses = [c.response for c in got]
         assert responses == sorted(responses, reverse=True)
         for i, c in enumerate(got):
-            assert roi.contains(c.x, c.y)
+            assert in_rect(roi, c.x, c.y)
             for other in got[:i]:
                 dist = math.hypot(c.x - other.x, c.y - other.y)
                 assert dist >= params.min_distance

@@ -3,8 +3,10 @@
 Determinism within one process (criterion 12) cannot catch a refactor
 that shifts every trajectory the same way; these digests can. The
 closed-loop digests see only the features the loop happens to fly
-over, so a second digest pins ``track_points`` itself across window
-radii, pyramid depths, iteration caps, shifts, noisy and flat frames.
+over, and never a response value, so two more digests pin
+``track_points`` itself across window radii, pyramid depths, iteration
+caps, shifts, noisy and flat frames, and ``detect_corners`` across ROI
+positions, radii and selection knobs on analytic and rendered frames.
 A change that alters a digest on purpose re-pins it and says why in
 CHANGES.md.
 """
@@ -19,9 +21,10 @@ import numpy as np
 import pytest
 
 from flowhold.config import load_run_config
+from flowhold.corners import DetectParams, Rect, detect_corners
 from flowhold.flow import FlowStatus, LkParams, build_pyramid, track_points
 from flowhold.image import GrayImage
-from flowhold.sim import run_episode
+from flowhold.sim import GroundTexture, SimConfig, VehicleState, render_frame, run_episode
 from flowhold.telemetry import write_csv
 
 from util import smooth_texture
@@ -105,3 +108,62 @@ def test_track_points_digest():
     assert set(seen) == set(FlowStatus), seen
     assert sum(seen.values()) == 3305
     assert digest.hexdigest() == LK_DIGEST
+
+
+DETECT_DIGEST = "ade25d05c25446f46b0188c7827fa8b66f0c64be108965297c4cb52b5b24d659"
+
+
+def _detect_frame(rng, case):
+    """A seeded analytic texture or a rendered frame, varying by case."""
+    if case % 2 == 0:
+        width, height = int(rng.integers(24, 161)), int(rng.integers(24, 121))
+        return smooth_texture(width, height, seed=int(rng.integers(0, 1000)))
+    width, height = [(160, 120), (320, 240), (640, 480)][case % 3]
+    cfg = SimConfig(
+        image_width=width,
+        image_height=height,
+        texture_seed=int(rng.integers(0, 1000)),
+        cell_size=float(rng.uniform(0.06, 0.25)),
+        lowlight_noise=0.02 if rng.integers(4) == 0 else 0.0,
+    )
+    yaw = 0.0 if rng.integers(3) == 0 else float(rng.uniform(-np.pi, np.pi))
+    vehicle = VehicleState(x=float(rng.uniform(-3, 3)), y=float(rng.uniform(-3, 3)), yaw=yaw)
+    rng_noise = np.random.default_rng(int(rng.integers(0, 1000)))
+    return render_frame(GroundTexture(cfg.texture_seed, cfg.cell_size), vehicle, cfg, rng_noise)
+
+
+def _detect_roi(rng, width, height):
+    """An interior, corner-flush, whole-frame, tiny corner-flush or center ROI."""
+    kind = int(rng.integers(5))
+    if kind == 2:
+        return Rect(0, 0, width, height)
+    if kind == 4:
+        return Rect(width // 4, height // 4, width // 2, height // 2)
+    hi_w, hi_h = (5, 5) if kind == 3 else (width + 1, height + 1)
+    w, h = int(rng.integers(1, hi_w)), int(rng.integers(1, hi_h))
+    x, y = int(rng.integers(0, width - w + 1)), int(rng.integers(0, height - h + 1))
+    if kind != 0:  # flush with one of the four frame corners
+        x = 0 if rng.integers(2) else width - w
+        y = 0 if rng.integers(2) else height - h
+    return Rect(x, y, w, h)
+
+
+def test_detect_corners_digest():
+    """sha256 over (x, y, response) of the corners of 72 seeded detections."""
+    rng = np.random.default_rng(20261019)
+    digest = hashlib.sha256()
+    found = 0
+    for case in range(72):
+        image = _detect_frame(rng, case)
+        params = DetectParams(
+            max_corners=int(rng.integers(1, 31)),
+            quality_level=float(rng.uniform(0.01, 0.5)),
+            min_distance=float(rng.uniform(0.0, 12.0)) if rng.integers(3) else 0.0,
+            window_radius=int(rng.integers(1, 5)),
+        )
+        roi = _detect_roi(rng, image.width, image.height)
+        for c in detect_corners(image, roi, params):
+            digest.update(struct.pack("<2qd", c.x, c.y, c.response))
+            found += 1
+    assert found == 632
+    assert digest.hexdigest() == DETECT_DIGEST

@@ -20,7 +20,7 @@ from flowhold.tracker import (
     center_roi,
 )
 
-from util import smooth_texture
+from util import in_rect, smooth_texture
 
 
 def textured_frame(x=0.0, y=0.0, seed=11):
@@ -74,7 +74,7 @@ class TestAcquire:
         assert 10 <= state.n_alive <= 20
         roi = center_roi(frame.width, frame.height)
         for f in state.features:
-            assert roi.contains(*f.position)
+            assert in_rect(roi, *f.position)
         expected = detect_corners(frame, roi, config.detect)
         best = max(expected, key=lambda c: c.response)
         best_feat = next(f for f in state.features if f.id == state.best_id)
@@ -103,7 +103,7 @@ class TestAcquire:
         state = acquire(image, config)
         assert state.n_alive == 1
         roi = center_roi(64, 64)
-        assert roi.contains(*state.features[0].position)
+        assert in_rect(roi, *state.features[0].position)
 
 
 class TestAdvance:

@@ -57,6 +57,11 @@ def brute_response_map(image: GrayImage, window_radius: int) -> np.ndarray:
     return np.clip(lam_min, 0.0, None)
 
 
+def in_rect(roi: Rect, x: float, y: float) -> bool:
+    """Whether (x, y) lies inside ``roi``, its far edges excluded."""
+    return roi.x <= x < roi.x + roi.w and roi.y <= y < roi.y + roi.h
+
+
 def brute_detect(image: GrayImage, roi: Rect, params: DetectParams) -> list[Corner]:
     """Straight-line re-implementation of threshold + greedy suppression."""
     return brute_select(brute_response_map(image, params.window_radius), roi, params)
