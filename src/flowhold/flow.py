@@ -187,8 +187,8 @@ def track_points(
 
     n = pts.shape[0]
     win = 2 * r + 1
-    oy, ox = np.mgrid[-r : r + 1, -r : r + 1]
-    oy2, ox2 = np.mgrid[-r - 1 : r + 2, -r - 1 : r + 2]
+    oy, ox = np.mgrid[-r : r + 1, -r : r + 1].astype(np.float64)
+    oy2, ox2 = np.mgrid[-r - 1 : r + 2, -r - 1 : r + 2].astype(np.float64)
 
     status = np.full(n, _TRACKED, dtype=np.int64)
     flow = np.zeros((n, 2), dtype=np.float64)

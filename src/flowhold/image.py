@@ -146,21 +146,24 @@ def save_pgm(image: GrayImage) -> bytes:
 def bilinear_many(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Vectorized bilinear sampling. Coordinates must be in bounds already."""
     h, w = pixels.shape
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    np.clip(x0, 0, max(w - 2, 0), out=x0)
-    np.clip(y0, 0, max(h - 2, 0), out=y0)
+    # Floor and clip in float (whole numbers, exact below 2**53). After the
+    # clip the right and lower neighbours lie 1 and w further in the flat
+    # image, or 0 further in an image one pixel wide or tall.
+    x0 = np.clip(np.floor(xs), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(ys), 0, max(h - 2, 0))
     fx = xs - x0
     fy = ys - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    # Flat gathers: the same elements as pixels[y, x], without 2-d indexing.
+    i = (y0 * w + x0).astype(np.int64)
+    dx, dy = (1 if w > 1 else 0), (w if h > 1 else 0)
     flat = pixels.ravel()
-    r0 = y0 * w
-    r1 = y1 * w
-    top = flat.take(r0 + x0) * (1.0 - fx) + flat.take(r0 + x1) * fx
-    bot = flat.take(r1 + x0) * (1.0 - fx) + flat.take(r1 + x1) * fx
-    return top * (1.0 - fy) + bot * fy
+    gx = 1.0 - fx
+    top = flat.take(i) * gx
+    top += flat[dx:].take(i) * fx
+    bot = flat[dy:].take(i) * gx
+    bot += flat[dy + dx :].take(i) * fx
+    top *= 1.0 - fy
+    top += bot * fy
+    return top
 
 
 def sobel_gradients(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

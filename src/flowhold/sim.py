@@ -223,7 +223,7 @@ def _texture_grid(tex: GroundTexture, wx: np.ndarray, wy: np.ndarray) -> np.ndar
     # One hash per cell of the index bounding box, then a gather per point.
     i, j = _cells(tex, wx, wy)
     i0, i1, j0, j1 = int(i.min()), int(i.max()), int(j.min()), int(j.max())
-    if (i1 - i0 + 1) * (j1 - j0 + 1) <= np.broadcast(i, j).size:
+    if (i1 - i0 + 1) * (j1 - j0 + 1) <= i.size:
         return _cell_table(tex, i0, i1, j0, j1)[j - j0, i - i0]
     # Cells smaller than pixels: the table would outgrow the frame.
     return _hash01(i, j, tex.seed)
@@ -287,7 +287,8 @@ def render_frame(
     routes with identical bytes:
 
     - sin(yaw) == 0: world x depends on the column only and y on the
-      row only, so coordinates are one row and one column vector.
+      row only, so coordinates are one row and one column vector, and
+      the frame is whole columns, then whole rows, of a cell table.
     - rotated, cells at least ``2 * _RUN`` px wide: the exact per-pixel
       expression is evaluated at every ``_RUN``-th column and the last.
       Since it rounds monotonically along a row, a block whose first
@@ -313,9 +314,12 @@ def render_frame(
         sin_y = math.sin(vehicle.yaw)
         if sin_y == 0.0:
             # c*u - 0*v == c*u up to the sign of zero, which floor ignores.
-            wx = vehicle.x + gsd * (cos_y * u)
-            wy = vehicle.y + gsd * (cos_y * v)
-            vals = _texture_grid(tex, wx, wy)
+            # Distinct column cells x distinct row cells never outnumber the
+            # pixels, so this route needs no per-pixel fallback.
+            i, j = _cells(tex, vehicle.x + gsd * (cos_y * u), vehicle.y + gsd * (cos_y * v[:, 0]))
+            ci, col = np.unique(i, return_inverse=True)
+            cj, row = np.unique(j, return_inverse=True)
+            vals = _hash01(ci, cj[:, None], tex.seed).take(col, axis=1).take(row, axis=0)
         elif tex.cell_size / gsd < 2 * _RUN:
             vals = _texture_grid(tex, *_rotate(vehicle, gsd, cos_y, sin_y, u, v))
         else:

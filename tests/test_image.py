@@ -12,6 +12,8 @@ from flowhold.image import (
     sobel_gradients,
 )
 
+from util import brute_bilinear
+
 
 def pgm_bytes(width, height, maxval, payload):
     return f"P5 {width} {height} {maxval} ".encode() + bytes(payload)
@@ -113,6 +115,11 @@ def sample(img, x, y):
     return float(bilinear_many(img.pixels, np.array([x], dtype=float), np.array([y], dtype=float))[0])
 
 
+def on_axis(n):
+    """Sample coordinates along an axis of n px: any, whole, or the last pixel."""
+    return st.floats(0.0, n - 1.0) | st.integers(0, n - 1).map(float) | st.just(n - 1.0)
+
+
 def sobel_same(px):
     """Same-size gradients with replicated borders."""
     return sobel_gradients(np.pad(px, 1, mode="edge"))
@@ -152,6 +159,34 @@ class TestSampleBilinear:
         spread = img.pixels.max() - img.pixels.min()
         change = abs(sample(img, x2, y2) - sample(img, x, y))
         assert change <= delta * spread * 2.0 + 1e-12
+
+
+class TestBilinearOracle:
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 10_000), h=st.integers(1, 40), w=st.integers(1, 40), data=st.data())
+    def test_points_equal_scalar_oracle_bit_for_bit(self, seed, h, w, data):
+        px = np.random.default_rng(seed).uniform(0.0, 1.0, (h, w))
+        pts = data.draw(st.lists(st.tuples(on_axis(w), on_axis(h)), min_size=1, max_size=30))
+        xs, ys = np.array(pts).T
+        got = bilinear_many(px, xs, ys)
+        assert got.tobytes() == brute_bilinear(px, xs, ys).tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 10_000), h=st.integers(3, 40), w=st.integers(3, 40), data=st.data())
+    def test_window_stacks_equal_scalar_oracle_bit_for_bit(self, seed, h, w, data):
+        # (n, k, k) stacks built as track_points builds them: centres plus
+        # a whole-pixel offset grid, which may reach the last row or column.
+        px = np.random.default_rng(seed).uniform(0.0, 1.0, (h, w))
+        r = data.draw(st.integers(1, (min(h, w) - 1) // 2))
+        centres = data.draw(
+            st.lists(st.tuples(on_axis(w - 2 * r), on_axis(h - 2 * r)), min_size=1, max_size=5)
+        )
+        cx, cy = (np.array(centres) + r).T
+        oy, ox = np.mgrid[-r : r + 1, -r : r + 1].astype(np.float64)
+        xs, ys = cx[:, None, None] + ox, cy[:, None, None] + oy
+        got = bilinear_many(px, xs, ys)
+        assert got.shape == xs.shape
+        assert got.tobytes() == brute_bilinear(px, xs, ys).tobytes()
 
 
 class TestSobelGradients:

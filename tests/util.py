@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's vectorized code paths:
 gradients by direct kernel loops with clamped indices, window sums by
 explicit offset loops, eigenvalues by numpy's symmetric eigensolver,
-rendering by hashing every pixel's cell on full-frame coordinates.
+bilinear samples by a per-sample scalar loop, rendering by hashing
+every pixel's cell on full-frame coordinates.
 """
 
 from __future__ import annotations
@@ -55,6 +56,27 @@ def brute_response_map(image: GrayImage, window_radius: int) -> np.ndarray:
     ).reshape(-1, 2, 2)
     lam_min = np.linalg.eigvalsh(tensors)[:, 0].reshape(h, w)
     return np.clip(lam_min, 0.0, None)
+
+
+def brute_bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear samples one at a time in Python floats, in a fixed order.
+
+    Floor, clip the corner to [0, w-2] x [0, h-2] (0 on a 1-px axis),
+    take x1 = min(x0+1, w-1) and y1 = min(y0+1, h-1), then blend the top
+    and bottom rows and blend those as top*(1-fy) + bot*fy.
+    """
+    h, w = pixels.shape
+    px = pixels.tolist()
+    out = []
+    for x, y in zip(np.ravel(xs).tolist(), np.ravel(ys).tolist()):
+        x0 = min(max(math.floor(x), 0), max(w - 2, 0))
+        y0 = min(max(math.floor(y), 0), max(h - 2, 0))
+        x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+        fx, fy = x - x0, y - y0
+        top = px[y0][x0] * (1.0 - fx) + px[y0][x1] * fx
+        bot = px[y1][x0] * (1.0 - fx) + px[y1][x1] * fx
+        out.append(top * (1.0 - fy) + bot * fy)
+    return np.array(out, dtype=np.float64).reshape(np.shape(xs))
 
 
 def in_rect(roi: Rect, x: float, y: float) -> bool:
