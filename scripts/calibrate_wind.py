@@ -29,7 +29,7 @@ def run_point(sigma: float, rate: float, seed: int, duration: float, yaw: float 
     }
     rc = load_run_config("outdoor", overrides={"sim": sim})
     t0 = time.time()
-    records = run_episode(rc.sim, rc.gains, rc.tracker_config())
+    records = run_episode(rc.sim, rc.gains, rc.tracker)
     report = dispersion_stats(records, rc.sim.settle_time, rc.sim.frame_size_cm)
     reacq = sum(1 for r in records if "reacquired" in r.events)
     losses = sum(1 for r in records if "feature_lost" in r.events)

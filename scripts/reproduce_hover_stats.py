@@ -21,7 +21,7 @@ def main() -> int:
     for preset, (ref_sigma, ref_diam) in REFERENCE.items():
         rc = load_run_config(preset)
         t0 = time.time()
-        records = run_episode(rc.sim, rc.gains, rc.tracker_config())
+        records = run_episode(rc.sim, rc.gains, rc.tracker)
         report = dispersion_stats(
             records, settle_time=rc.sim.settle_time, frame_size_cm=rc.sim.frame_size_cm
         )

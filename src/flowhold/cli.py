@@ -85,7 +85,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for seed, rc in runs:
-        records = run_episode(rc.sim, rc.gains, rc.tracker_config())
+        records = run_episode(rc.sim, rc.gains, rc.tracker)
         report = telemetry.dispersion_stats(
             records, settle_time=settle, frame_size_cm=rc.sim.frame_size_cm
         )

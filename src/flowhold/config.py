@@ -48,6 +48,7 @@ class RunConfig:
     preset: str | None = None
 
     def tracker_config(self) -> TrackerConfig:
+        """Alias of ``tracker``, kept only for the callers in ``perfbench/``."""
         return self.tracker
 
 

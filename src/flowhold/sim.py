@@ -1,9 +1,8 @@
 """Deterministic closed-loop hover test bed.
 
 Planar point-mass vehicle with first-order tilt lag, a nadir pinhole
-camera rendering a seeded cell-hash ground texture (hashed once per
-cell in view, then gathered into the frame), Ornstein-Uhlenbeck wind
-gusts, and optional low-light degradation. One episode runs the full
+camera rendering a seeded cell-hash ground texture, Ornstein-Uhlenbeck
+wind gusts, and optional low-light degradation. One episode runs the full
 vision/control loop at the camera rate with fixed-step physics
 substeps in between, and is bit-reproducible from its config.
 
@@ -13,9 +12,9 @@ the current frame is tracked and flown. ``render_frame`` takes any
 object with ``standard_normal(shape)`` whose draws come in stream order,
 so the pipelined draw gives the same bytes as a plain Generator.
 
-The render has three routes, listed in ``render_frame``, chosen by its
-inputs and equal in bytes to flooring every pixel's world coordinates.
-The run-length route is exact because each rounded step of
+The render has two routes, listed in ``render_frame``, chosen by the
+yaw and equal in bytes to flooring every pixel's world coordinates.
+The rotated, run-length route is exact because each rounded step of
 floor((x + gsd*(c*u - s*v)) * (1/cell)), and of its y twin, is
 monotone in the column u: along a row both cell indices are monotone
 step functions, so the columns between two that share a cell lie in
@@ -144,6 +143,10 @@ class SimConfig:
         for name in ("drag_coeff", "settle_time", "lowlight_noise", "wind_sigma", "wind_rate"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be >= 0")
+        for name in ("drag_coeff", "wind_rate"):
+            # A step scales by 1 - rate*physics_dt: negative above 1, unbounded above 2.
+            if getattr(self, name) * self.physics_dt > 1.0:
+                raise ConfigError(f"{name}={getattr(self, name)} times physics_dt must be <= 1")
         for name in ("yaw_rate", "start_x", "start_y"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
@@ -204,7 +207,8 @@ def _hash01(i: np.ndarray, j: np.ndarray, seed: int) -> np.ndarray:
     h ^= h >> np.uint64(27)
     h *= _F2
     h ^= h >> np.uint64(31)
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    h >>= np.uint64(11)  # in place, so the float64 result is the only new array
+    return h * 2.0**-53
 
 
 def _cells(tex: GroundTexture, wx: np.ndarray, wy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,38 +216,18 @@ def _cells(tex: GroundTexture, wx: np.ndarray, wy: np.ndarray) -> tuple[np.ndarr
     return np.floor(wx * inv).astype(np.int64), np.floor(wy * inv).astype(np.int64)
 
 
-def _cell_table(tex: GroundTexture, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-    # Hash of every cell in [i0, i1] x [j0, j1], indexed [j - j0, i - i0].
-    cols = np.arange(i0, i1 + 1, dtype=np.int64)
-    rows = np.arange(j0, j1 + 1, dtype=np.int64)[:, None]
-    return _hash01(cols, rows, tex.seed)
-
-
-def _texture_grid(tex: GroundTexture, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    # One hash per cell of the index bounding box, then a gather per point.
-    i, j = _cells(tex, wx, wy)
-    i0, i1, j0, j1 = int(i.min()), int(i.max()), int(j.min()), int(j.max())
-    if (i1 - i0 + 1) * (j1 - j0 + 1) <= i.size:
-        return _cell_table(tex, i0, i1, j0, j1)[j - j0, i - i0]
-    # Cells smaller than pixels: the table would outgrow the frame.
-    return _hash01(i, j, tex.seed)
-
-
 def _rotate(
     vehicle: VehicleState, gsd: float, cos_y: float, sin_y: float, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # World point under camera offset (u, v) px. Both rotated routes use
-    # this one operand order, so a pixel rounds alike in either.
+    # World point under camera offset (u, v) px, in brute force's operand
+    # order, so block ends and mixed blocks round as a per-pixel render.
     return (
         vehicle.x + gsd * (cos_y * u - sin_y * v),
         vehicle.y + gsd * (sin_y * u + cos_y * v),
     )
 
 
-# Columns per block of the run-length render. Cells narrower than two
-# blocks cross most blocks, so they take the per-pixel route: on a
-# 640x480 frame the routes tie near 13 px cells, and runs are 1.6x
-# faster at 16 px (2-core Xeon).
+# Columns per block of the run-length render.
 _RUN = 8
 
 
@@ -260,16 +244,12 @@ def _texture_runs(
     ub = u[np.minimum(np.arange(nb * _RUN), w - 1)].reshape(nb, _RUN)
     edges = np.append(ub[:, 0], u[-1])
     i, j = _cells(tex, *_rotate(vehicle, gsd, cos_y, sin_y, edges, v))
-    i0, j0 = int(i.min()), int(j.min())
-    table = _cell_table(tex, i0, int(i.max()), j0, int(j.max()))
-    i -= i0
-    j -= j0
-    vals = np.repeat(table[j[:, :-1], i[:, :-1]], _RUN, axis=1)
+    vals = np.repeat(_hash01(i[:, :-1], j[:, :-1], tex.seed), _RUN, axis=1)
     # Blocks a cell edge may cross: every pixel of them, per pixel.
     mixed = np.flatnonzero((i[:, :-1] != i[:, 1:]) | (j[:, :-1] != j[:, 1:]))
     row, blk = np.divmod(mixed, nb)
     mi, mj = _cells(tex, *_rotate(vehicle, gsd, cos_y, sin_y, ub[blk], v[row]))
-    vals.reshape(h * nb, _RUN)[mixed] = table[mj - j0, mi - i0]
+    vals.reshape(h * nb, _RUN)[mixed] = _hash01(mi, mj, tex.seed)
     return vals if nb * _RUN == w else np.ascontiguousarray(vals[:, :w])
 
 
@@ -283,19 +263,19 @@ def render_frame(
 
     Pixel (u, v) maps to the world point pos + R(yaw) @ offset where
     offset = ((u - cx) * h/f, (v - cy) * h/f). Camera tilt is not
-    modeled. Each ground cell in view is hashed once, by one of three
-    routes with identical bytes:
+    modeled. Two routes with identical bytes hash the cells in view:
 
     - sin(yaw) == 0: world x depends on the column only and y on the
-      row only, so coordinates are one row and one column vector, and
-      the frame is whole columns, then whole rows, of a cell table.
-    - rotated, cells at least ``2 * _RUN`` px wide: the exact per-pixel
-      expression is evaluated at every ``_RUN``-th column and the last.
-      Since it rounds monotonically along a row, a block whose first
-      column shares a cell with the next sampled column takes that
-      cell's hash throughout; only the other blocks, which a cell edge
-      may cross, are evaluated per pixel.
-    - rotated, narrower cells: full-frame coordinates, per pixel.
+      row only, so coordinates are one row and one column vector; each
+      distinct column cell is hashed against each distinct row cell,
+      and the frame is whole columns, then whole rows, of that table.
+    - rotated: the exact per-pixel expression is evaluated at every
+      ``_RUN``-th column and the last. Since it rounds monotonically
+      along a row, a block whose first column shares a cell with the
+      next sampled column takes that cell's hash throughout, one hash
+      per block; only the other blocks, which a cell edge may cross,
+      are hashed per pixel. However fine the cells, neither route
+      hashes more than one cell per pixel plus one per block.
 
     This is where blank ground is decided: with ``cfg.blank_ground`` set
     the frame is a flat 0.5 and ``tex`` is not read. Low light applies
@@ -315,13 +295,11 @@ def render_frame(
         if sin_y == 0.0:
             # c*u - 0*v == c*u up to the sign of zero, which floor ignores.
             # Distinct column cells x distinct row cells never outnumber the
-            # pixels, so this route needs no per-pixel fallback.
+            # pixels, however fine the cells.
             i, j = _cells(tex, vehicle.x + gsd * (cos_y * u), vehicle.y + gsd * (cos_y * v[:, 0]))
             ci, col = np.unique(i, return_inverse=True)
             cj, row = np.unique(j, return_inverse=True)
             vals = _hash01(ci, cj[:, None], tex.seed).take(col, axis=1).take(row, axis=0)
-        elif tex.cell_size / gsd < 2 * _RUN:
-            vals = _texture_grid(tex, *_rotate(vehicle, gsd, cos_y, sin_y, u, v))
         else:
             vals = _texture_runs(tex, vehicle, gsd, cos_y, sin_y, u, v)
     if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:

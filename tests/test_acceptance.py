@@ -39,7 +39,7 @@ def criterion(num, name):
 def episode(preset, **overrides):
     rc = load_run_config(preset)
     sim = dataclasses.replace(rc.sim, **overrides) if overrides else rc.sim
-    return rc, run_episode(sim, rc.gains, rc.tracker_config())
+    return rc, run_episode(sim, rc.gains, rc.tracker)
 
 
 def stats(rc, records):
@@ -245,7 +245,7 @@ def test_criterion_9_reacquisition_under_yaw(outdoor300):
                 )
             seen["generation"] = state.generation
 
-        records = run_episode(sim, rc.gains, rc.tracker_config(), on_tick=on_tick)
+        records = run_episode(sim, rc.gains, rc.tracker, on_tick=on_tick)
         report = stats(rc, records)
         reacq_events = sum(1 for r in records if "reacquired" in r.events)
         assert reacq_events >= 1

@@ -315,6 +315,18 @@ class TestSimulateAndReport:
         assert err.startswith("error: sim: duration=0.01 gives fewer than 2 records")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("field", ["wind_rate", "drag_coeff"])
+    def test_rate_beyond_one_per_step_exit_2(self, capsys, tmp_path, field):
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "calm", "--set", "sim.wind_sigma=0.1",
+            "--set", f"sim.{field}=1000", "--duration", "1", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"{field}=1000" in err
+        assert not out_dir.exists()
+
     def test_two_record_duration_flies(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--preset", "calm", "--duration", "0.04", "--out", str(tmp_path)

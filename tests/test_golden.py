@@ -50,7 +50,7 @@ GOLDEN = [
 )
 def test_telemetry_digest(preset, sim, digest):
     rc = load_run_config(preset, None, {"sim": sim})
-    data = write_csv(run_episode(rc.sim, rc.gains, rc.tracker_config()))
+    data = write_csv(run_episode(rc.sim, rc.gains, rc.tracker))
     assert hashlib.sha256(data).hexdigest() == digest
 
 

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from flowhold.sim import (
     step_dynamics,
     wind_step,
     _NoiseAhead,
-    _texture_grid,
     _texture_runs,
 )
 from flowhold.telemetry import dispersion_stats, write_csv
@@ -36,8 +36,8 @@ def quiet():
 
 
 def texture_at(tex, x, y):
-    """Ground intensity at one world point, through the vectorized texture lookup."""
-    return float(_texture_grid(tex, np.array([x]), np.array([y]))[0])
+    """Ground intensity at one world point: the hash of its cell."""
+    return float(sim._hash01(*sim._cells(tex, np.array([x]), np.array([y])), tex.seed)[0])
 
 
 @pytest.mark.parametrize(
@@ -75,6 +75,14 @@ def test_sim_config_rejects_texture_seed_beyond_philox_key(seed):
         SimConfig(texture_seed=seed)
 
 
+@pytest.mark.parametrize("field", ["drag_coeff", "wind_rate"])
+def test_sim_config_rejects_rate_beyond_one_per_step(field):
+    # Each step scales by 1 - rate*physics_dt, which must not turn negative.
+    SimConfig(**{field: 200.0})  # exactly 1 per 0.005 s step
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(**{field: 201.0})
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128 - 3], ids=repr)
 def test_texture_seed_at_either_end_flies(seed):
     assert len(run_episode(SimConfig(texture_seed=seed, duration=0.04))) == 2
@@ -105,7 +113,7 @@ class TestTexture:
         tex = GroundTexture(seed=3, cell_size=1.0)
         n = 100
         xs, ys = np.meshgrid(np.arange(n) + 0.5, np.arange(n) + 0.5)
-        grid = _texture_grid(tex, xs, ys)
+        grid = sim._hash01(*sim._cells(tex, xs, ys), tex.seed)
         assert abs(grid.mean() - 0.5) <= 0.02
         assert grid.min() >= 0.0 and grid.max() <= 1.0
 
@@ -193,8 +201,9 @@ def _render_scene(scene):
 RUN_YAWS = [float(y) for y in np.random.default_rng(11).uniform(-4.0, 4.0, 4)]
 RUN_YAWS += [a + d for a in (math.pi / 2, -math.pi / 2, math.pi) for d in (-1e-12, 1e-12)]
 # Cells in metres at the default 2 mm per pixel: 0.016 m is one 8-px
-# block, and cells from 0.032 m (two blocks) up take the run-length route.
-RUN_CELLS = [0.25, 0.05, 0.0321, 0.0319, 0.02, 0.0161, 0.016, 0.0159]
+# block. Every rotated frame takes the run-length route; cells of 0.9, 3
+# and 12.5 px put several cell edges in one block, or one in most blocks.
+RUN_CELLS = [0.25, 0.05, 0.0321, 0.0319, 0.025, 0.02, 0.0161, 0.016, 0.0159, 0.006, 0.0018]
 
 
 def _assert_renders_match(cfg, vehicle, seed=77):
@@ -234,8 +243,8 @@ class TestRenderOracle:
 
     @pytest.mark.parametrize("cell_px", [0.9, 3.0, 7.95, 8.05, 12.5], ids=repr)
     def test_runs_exact_when_cells_cross_every_block(self, cell_px):
-        # render_frame routes these cells per pixel for speed; the runs
-        # stay exact with several cell edges inside one block.
+        # The runs alone, off-centre: exact with several cell edges inside
+        # one block, or one edge in most blocks.
         cfg = SimConfig(texture_seed=9, cell_size=cell_px * 0.002, image_width=203, image_height=61)
         u = np.arange(203, dtype=np.float64) - 101
         v = (np.arange(61, dtype=np.float64) - 30)[:, None]
@@ -263,6 +272,21 @@ class TestRenderOracle:
             lowlight_gain=0.5 if noise else 1.0, lowlight_noise=noise,
         )
         _assert_renders_match(cfg, VehicleState(x=x, y=y, yaw=yaw))
+
+
+@pytest.mark.parametrize("yaw", [0.3, 0.785])
+def test_sub_pixel_cells_render_in_bounded_memory(yaw):
+    # Cells 1.7x finer than pixels, far from the origin: a table of every
+    # cell in the frame's bounding box would take about 47 frames.
+    cfg = SimConfig(texture_seed=9, cell_size=1e-3 / 1.7)
+    tex, vehicle, rng = cfg.make_texture(), VehicleState(x=4e3, y=-3e3, yaw=yaw), quiet()
+    tracemalloc.start()
+    try:
+        render_frame(tex, vehicle, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * cfg.image_width * cfg.image_height * 8
 
 
 class TestWind:
@@ -509,4 +533,4 @@ class TestNoiseThread:
         monkeypatch.setattr(threading.Thread, "start", start)
         rc = load_run_config("calm", None, {"sim": {"duration": 0.4}})
         assert rc.sim.lowlight_noise == 0.0
-        assert len(run_episode(rc.sim, rc.gains, rc.tracker_config())) == 11
+        assert len(run_episode(rc.sim, rc.gains, rc.tracker)) == 11
