@@ -77,20 +77,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     settle = rc.sim.settle_time
     if rc.sim.duration < settle + 2.0 / rc.sim.camera_rate:
         settle = 0.0  # runs shorter than the settle window report everything
-    runs = [(None, rc)]
+    out = Path(args.out)
+    runs = [(out, rc)]
     if args.sweep is not None:
         seeds = range(rc.sim.texture_seed, rc.sim.texture_seed + args.sweep)
-        runs = [(s, replace(rc, sim=replace(rc.sim, texture_seed=s))) for s in seeds]
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for seed, rc in runs:
+        runs = [(out / f"seed_{s}", replace(rc, sim=replace(rc.sim, texture_seed=s))) for s in seeds]
+    for target, _ in runs:  # an unwritable --out is a usage error, found before any flight
+        try:
+            target.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {target}: {exc.strerror}") from None
+    for target, rc in runs:
         records = run_episode(rc.sim, rc.gains, rc.tracker)
         report = telemetry.dispersion_stats(
             records, settle_time=settle, frame_size_cm=rc.sim.frame_size_cm
         )
-        target = out_dir if seed is None else out_dir / f"seed_{seed}"
-        target.mkdir(parents=True, exist_ok=True)
         (target / "telemetry.csv").write_bytes(telemetry.write_csv(records))
         (target / "summary.json").write_bytes(
             telemetry.write_summary_json(report, config_digest(rc))
@@ -105,6 +106,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_corners(args: argparse.Namespace) -> int:
+    if args.annotate and (Path(args.annotate).is_dir() or not Path(args.annotate).parent.is_dir()):
+        raise ConfigError(f"--annotate {args.annotate}: is a directory or its parent is missing")
     image = _read_pgm(args.image)
     params = _checked(
         DetectParams,
@@ -123,10 +126,8 @@ def cmd_corners(args: argparse.Namespace) -> int:
         print(f"{c.x} {c.y} {c.response:.9g}")
     if args.annotate:
         px = image.pixels.copy()
-        for c in corners:
-            y0, y1 = max(c.y - 1, 0), min(c.y + 2, image.height)
-            x0, x1 = max(c.x - 1, 0), min(c.x + 2, image.width)
-            px[y0:y1, x0:x1] = 1.0
+        for c in corners:  # slicing clips the far side; a negative start would wrap
+            px[max(c.y - 1, 0) : c.y + 2, max(c.x - 1, 0) : c.x + 2] = 1.0
         Path(args.annotate).write_bytes(save_pgm(GrayImage(px)))
     return 0
 

@@ -4,8 +4,8 @@ The response of a window is the smaller eigenvalue of its structure
 tensor (the 2x2 matrix of window-summed gradient products), built from
 valid-region Sobel gradients of the edge-padded image. Selection
 takes candidates above a quality threshold relative to the strongest
-response, greedily by descending response with minimum-distance
-suppression.
+response; each pick is the strongest one left (ties go to the first in
+row-major order) and drops the rest within min_distance of it.
 
 Window sums add their (2r+1)^2 values in one fixed order, rows then
 columns, so a response depends only on the gradients in its window (r)
@@ -115,10 +115,10 @@ def detect_corners(image: GrayImage, roi: Rect, params: DetectParams) -> list[Co
     """Greedy corner pick inside ``roi``, strongest first.
 
     Candidates must exceed quality_level times the max response in the
-    ROI; each pick suppresses later candidates within min_distance
-    (Euclidean). Ties in response break by row-major position, which
-    makes detection fully deterministic. The response is computed on the
-    ROI plus r+1 per side, clipped at the frame and grown to 2r+3.
+    ROI. Each pick is the strongest remaining candidate (the first in
+    row-major order among equal responses) and removes the rest within
+    min_distance (Euclidean) of it. The response is computed on the ROI
+    plus r+1 per side, clipped at the frame and grown to 2r+3.
     """
     if roi.w < 1 or roi.h < 1:
         raise ValueError(f"roi must be non-empty, got {roi.w}x{roi.h}")
@@ -136,26 +136,14 @@ def detect_corners(image: GrayImage, roi: Rect, params: DetectParams) -> list[Co
     peak = float(sub.max())
     if peak <= 0.0:
         return []
-    threshold = params.quality_level * peak
-
-    ys, xs = np.nonzero(sub > threshold)
+    ys, xs = np.nonzero(sub > params.quality_level * peak)
     vals = sub[ys, xs]
-    order = np.lexsort((xs, ys, -vals))
-    xs = xs[order] + roi.x
-    ys = ys[order] + roi.y
-    vals = vals[order]
-
-    picked: list[Corner] = []
-    px = np.empty(params.max_corners, dtype=np.float64)
-    py = np.empty(params.max_corners, dtype=np.float64)
     min_d2 = params.min_distance * params.min_distance
-    for cx, cy, cv in zip(xs, ys, vals):
-        n = len(picked)
-        if n and ((px[:n] - cx) ** 2 + (py[:n] - cy) ** 2 < min_d2).any():
-            continue
-        px[n] = cx
-        py[n] = cy
-        picked.append(Corner(x=int(cx), y=int(cy), response=float(cv)))
-        if len(picked) >= params.max_corners:
-            break
+    picked: list[Corner] = []
+    while vals.size and len(picked) < params.max_corners:
+        k = vals.argmax()
+        picked.append(Corner(int(xs[k]) + roi.x, int(ys[k]) + roi.y, float(vals[k])))
+        far = (xs - xs[k]) ** 2 + (ys - ys[k]) ** 2 >= min_d2
+        far[k] = False
+        xs, ys, vals = xs[far], ys[far], vals[far]
     return picked

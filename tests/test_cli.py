@@ -70,6 +70,16 @@ class TestCorners:
         marked = load_pgm(out_path.read_bytes())
         assert (marked.pixels == 1.0).sum() >= 4 * 9
 
+    @pytest.mark.parametrize("target", ["dir", "missing/marked.pgm"])
+    def test_unwritable_annotate_exit_2(self, capsys, square_pgm, tmp_path, target):
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "corners", str(square_pgm), "--annotate", str(path))
+        assert code == 2
+        assert out == ""  # checked before any corner is printed
+        assert err.startswith("error: ") and str(path) in err
+        assert not (tmp_path / "missing").exists()
+
     def test_malformed_pgm_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P6 2 2 255 " + bytes(12))
@@ -452,6 +462,26 @@ class TestSimulateAndReport:
         assert code == 2
         assert out == ""
         assert "row 4, column pos_x" in err
+
+    @pytest.mark.parametrize(
+        "out_arg, sweep, bad",
+        [("file", [], "file"), ("file/sub", [], "file/sub"),
+         ("run", ["--sweep", "2"], "run/seed_12")],
+        ids=["out-is-a-file", "out-under-a-file", "sweep-seed-dir-is-a-file"],
+    )
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, out_arg, sweep, bad):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "seed_12").write_text("")
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "0.2", *sweep,
+            "--out", str(tmp_path / out_arg),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot create output directory ")
+        assert str(tmp_path / bad) in err
+        assert list(tmp_path.rglob("telemetry.csv")) == []  # failed before any flight
 
     def test_sweep_runs_multiple_seeds(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -215,19 +215,40 @@ class TestDetectCorners:
             assert s.response == pytest.approx(4.0 * p.response, rel=1e-9)
 
     @settings(deadline=None, max_examples=200)
-    @given(case=frames_and_rois())
-    @example(case=(3, (120, 160), Rect(0, 0, 1, 1), 3))
-    @example(case=(4, (40, 48), Rect(47, 39, 1, 1), 1))
-    @example(case=(5, (9, 9), Rect(0, 0, 9, 9), 3))
-    def test_roi_cut_equals_full_frame_response(self, case):
+    @given(
+        case=frames_and_rois(),
+        levels=st.sampled_from([0, 2, 3]),
+        min_distance=st.sampled_from([3.0, 0.0, 1.5, 1e200]),
+        max_corners=st.sampled_from([6, 1, 10_000]),
+    )
+    @example(case=(3, (120, 160), Rect(0, 0, 1, 1), 3), levels=0, min_distance=3.0,
+             max_corners=6)
+    @example(case=(4, (40, 48), Rect(47, 39, 1, 1), 1), levels=0, min_distance=3.0,
+             max_corners=6)
+    @example(case=(5, (9, 9), Rect(0, 0, 9, 9), 3), levels=0, min_distance=3.0,
+             max_corners=6)
+    # Three grey levels, so responses tie exactly and picks follow the
+    # row-major tie order; at min_distance 0 every candidate survives each
+    # pick but the pick itself; 1e200 squares to inf and leaves one pick;
+    # 10_000 picks outrun the candidates.
+    @example(case=(6, (40, 48), Rect(0, 0, 48, 40), 1), levels=2, min_distance=0.0,
+             max_corners=10_000)
+    @example(case=(7, (40, 48), Rect(3, 2, 40, 30), 2), levels=2, min_distance=1.5,
+             max_corners=10_000)
+    @example(case=(8, (40, 48), Rect(0, 0, 48, 40), 2), levels=3, min_distance=1e200,
+             max_corners=10_000)
+    def test_roi_cut_equals_full_frame_response(self, case, levels, min_distance, max_corners):
         # detect_corners computes the response on the ROI plus its support;
         # its picks must equal those a full-frame response map gives,
-        # response values included, bit for bit.
+        # response values and order included, bit for bit.
         seed, shape, roi, radius = case
         rng = np.random.default_rng(seed)
-        img = GrayImage(rng.uniform(0, 1, shape))
-        params = DetectParams(max_corners=6, quality_level=0.05, min_distance=3.0,
-                              window_radius=radius)
+        px = rng.uniform(0, 1, shape)
+        if levels:
+            px = np.round(px * levels) / levels
+        img = GrayImage(px)
+        params = DetectParams(max_corners=max_corners, quality_level=0.05,
+                              min_distance=min_distance, window_radius=radius)
         want = brute_select(response_map(img, radius), roi, params)
         assert detect_corners(img, roi, params) == want
 

@@ -104,13 +104,12 @@ def brute_select(resp: np.ndarray, roi: Rect, params: DetectParams) -> list[Corn
             if resp[y, x] > threshold:
                 candidates.append((-resp[y, x], y, x))
     candidates.sort()
+    min_d2 = params.min_distance * params.min_distance  # inf, not OverflowError, past 1e154
     picked: list[Corner] = []
     for neg, y, x in candidates:
         if len(picked) >= params.max_corners:
             break
-        ok = all(
-            (p.x - x) ** 2 + (p.y - y) ** 2 >= params.min_distance**2 for p in picked
-        )
+        ok = all((p.x - x) ** 2 + (p.y - y) ** 2 >= min_d2 for p in picked)
         if ok:
             picked.append(Corner(x=x, y=y, response=-neg))
     return picked
