@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -87,11 +88,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             target.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {target}: {exc.strerror}") from None
+        for path in (target / "telemetry.csv", target / "summary.json"):
+            if path.is_dir() or not os.access(path if path.exists() else target, os.W_OK):
+                raise ConfigError(f"cannot write {path}: it is a directory or not writable")
     for target, rc in runs:
         records = run_episode(rc.sim, rc.gains, rc.tracker)
-        report = telemetry.dispersion_stats(
-            records, settle_time=settle, frame_size_cm=rc.sim.frame_size_cm
-        )
+        report = _checked(telemetry.dispersion_stats, records, settle, rc.sim.frame_size_cm)
         (target / "telemetry.csv").write_bytes(telemetry.write_csv(records))
         (target / "summary.json").write_bytes(
             telemetry.write_summary_json(report, config_digest(rc))

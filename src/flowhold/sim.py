@@ -154,6 +154,14 @@ class SimConfig:
             raise ConfigError("max_tilt must lie in (0, pi/2)")
         if self.image_width < 8 or self.image_height < 8:
             raise ConfigError("image dimensions must be at least 8x8")
+        # Render floors world / cell_size to int64 cell indices; below 2**53 each is exact.
+        half_diag_px = math.hypot(self.image_width, self.image_height) / 2
+        start = max(abs(self.start_x), abs(self.start_y))
+        if not (start + half_diag_px * self.ground_sample_distance) / self.cell_size < 2**53:
+            raise ConfigError(
+                "start_x, start_y, altitude, focal_px, image_width, image_height and cell_size "
+                "put the first frame's cell indices beyond 2**53"
+            )
         if not 0.0 < self.lowlight_gain <= 1.0:
             raise ConfigError("lowlight_gain must lie in (0, 1]")
         if not -1 <= self.texture_seed <= 2**128 - 3:
@@ -452,6 +460,7 @@ def run_episode(
     frame_dt = cfg.frame_dt
     n_ticks = cfg.n_ticks
     substeps = cfg.substeps
+    levels = tracker_cfg.lk.pyramid_levels
 
     records: list[FrameRecord] = []
     state = None
@@ -463,7 +472,8 @@ def run_episode(
             img = render_frame(tex, vehicle, cfg, noise)
             if ahead and k < n_ticks:
                 noise.fill()
-            pyr = build_pyramid(img, tracker_cfg.lk.pyramid_levels)
+            # Only LK reads a pyramid: as next on this tick, as prev on the next.
+            pyr = build_pyramid(img, levels) if state is not None and state.features else None
             flags = set()
             if state is None:
                 state = acquire(img, tracker_cfg)
@@ -506,6 +516,8 @@ def run_episode(
                 )
             )
             if k < n_ticks:
+                if pyr is None and state.features:
+                    pyr = build_pyramid(img, levels)
                 for _ in range(substeps):
                     wind = wind_step(wind, cfg, cfg.physics_dt, wind_rng)
                     vehicle = step_dynamics(vehicle, cmd, wind, cfg, cfg.physics_dt)

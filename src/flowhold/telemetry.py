@@ -83,7 +83,8 @@ def dispersion_stats(
 
     two_sigma_radial = 2 * sqrt(std_x^2 + std_y^2) in cm; the hold
     diameter adds twice that to the airframe size, matching the
-    published diameter arithmetic.
+    published diameter arithmetic. A statistic that overflows is a
+    ValueError naming it.
     """
     if not 0.0 <= settle_time < math.inf:  # NaN fails too
         raise ValueError(f"settle_time must be finite and >= 0, got {settle_time}")
@@ -94,17 +95,28 @@ def dispersion_stats(
         raise ValueError(
             f"need at least 2 records after settle_time={settle_time}, got {len(post)}"
         )
+
+    def finite(name: str, compute) -> float:
+        try:
+            value = compute()
+        except OverflowError:  # Python floats raise where numpy scalars give inf
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{name} overflows: the positions are too large for hover statistics")
+        return value
+
     n = len(post)
-    xs = [r.pos_x for r in post]
-    ys = [r.pos_y for r in post]
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    var_x = sum((v - mean_x) ** 2 for v in xs) / n
-    var_y = sum((v - mean_y) ** 2 for v in ys) / n
-    std_x = math.sqrt(var_x)
-    std_y = math.sqrt(var_y)
-    two_sigma = 2.0 * math.hypot(std_x, std_y) * 100.0
-    max_exc = max(math.hypot(x - mean_x, y - mean_y) for x, y in zip(xs, ys)) * 100.0
+    xs = [float(r.pos_x) for r in post]
+    ys = [float(r.pos_y) for r in post]
+    mean_x = finite("mean_x", lambda: sum(xs) / n)
+    mean_y = finite("mean_y", lambda: sum(ys) / n)
+    std_x = finite("std_x", lambda: math.sqrt(sum((v - mean_x) ** 2 for v in xs) / n))
+    std_y = finite("std_y", lambda: math.sqrt(sum((v - mean_y) ** 2 for v in ys) / n))
+    two_sigma = finite("two_sigma_radial", lambda: 2.0 * math.hypot(std_x, std_y) * 100.0)
+    max_exc = finite(
+        "max_excursion",
+        lambda: max(math.hypot(x - mean_x, y - mean_y) for x, y in zip(xs, ys)) * 100.0,
+    )
     blind = sum(1 for r in post if "blind" in r.events) / n
     return DispersionReport(
         mean_x=mean_x,
@@ -113,7 +125,7 @@ def dispersion_stats(
         std_y=std_y,
         two_sigma_radial=two_sigma,
         max_excursion=max_exc,
-        hold_diameter=frame_size_cm + 2.0 * two_sigma,
+        hold_diameter=finite("hold_diameter", lambda: frame_size_cm + 2.0 * two_sigma),
         settle_time_used=settle_time,
         blind_fraction=blind,
     )
@@ -210,4 +222,4 @@ def write_summary_json(report: DispersionReport, digest: Mapping[str, object] = 
     """
     obj: dict[str, object] = dict(digest)
     obj.update(asdict(report))
-    return (json.dumps(obj, indent=2) + "\n").encode("ascii")
+    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("ascii")

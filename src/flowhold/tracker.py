@@ -15,7 +15,7 @@ import numpy as np
 
 from flowhold.control import Displacement, displacement_from_center
 from flowhold.corners import DetectParams, Rect, detect_corners
-from flowhold.flow import FlowStatus, LkParams, Pyramid, build_pyramid, track_points
+from flowhold.flow import FlowStatus, LkParams, Pyramid, track_points
 from flowhold.image import GrayImage
 
 __all__ = [
@@ -160,25 +160,21 @@ def advance(
     survivor takes over on the same frame. If fewer than min_alive
     survive, the entire set is replaced by a fresh acquisition on
     ``next_`` (Reacquired event); dropping to zero features
-    additionally reports Blind.
-
-    Pre-built pyramids for either frame may be passed to avoid
-    recomputation in a streaming loop.
+    additionally reports Blind. Both frames' pyramids are required
+    while ``state`` holds features.
     """
-    for img, name in ((prev, "prev"), (next_, "next")):
+    for img, pyr, name in ((prev, prev_pyramid, "prev"), (next_, next_pyramid, "next")):
         if img.width != state.width or img.height != state.height:
             raise ValueError(
                 f"{name} frame is {img.width}x{img.height}, state expects "
                 f"{state.width}x{state.height}"
             )
+        if pyr is None and state.features:
+            raise ValueError(f"{name}_pyramid is required while features are held")
 
     events: list[TrackerEvent] = []
     survivors: list[TrackedFeature] = []
     if state.features:
-        if prev_pyramid is None:
-            prev_pyramid = build_pyramid(prev, config.lk.pyramid_levels)
-        if next_pyramid is None:
-            next_pyramid = build_pyramid(next_, config.lk.pyramid_levels)
         points = np.asarray([f.position for f in state.features], dtype=np.float64)
         results = track_points(prev_pyramid, next_pyramid, points, config.lk)
         for feat, res in zip(state.features, results):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from flowhold.cli import main
+from flowhold.config import load_run_config
 from flowhold.corners import DetectParams, Rect, detect_corners
 from flowhold.flow import LkParams
 from flowhold.image import GrayImage, load_pgm, save_pgm
-from flowhold.telemetry import CSV_HEADER
+from flowhold.sim import run_episode
+from flowhold.telemetry import CSV_HEADER, write_csv
 
 from util import smooth_texture, square_fixture
 
@@ -315,6 +317,19 @@ class TestSimulateAndReport:
         assert err.startswith(f"error: {section}: window_radius=300 needs a frame")
         assert not out_dir.exists()  # rejected before anything flew
 
+    @pytest.mark.parametrize("setting", ["sim.altitude=1e300", "sim.start_x=1e300"])
+    def test_frames_beyond_exact_cells_exit_2(self, capsys, tmp_path, setting):
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "0.2", "--set", setting,
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sim: ") and "beyond 2**53" in err
+        assert setting[4:].split("=")[0] in err
+        assert not out_dir.exists()  # rejected before anything flew
+
     def test_duration_below_two_records_exit_2(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
         code, out, err = run_cli(
@@ -409,6 +424,25 @@ class TestSimulateAndReport:
         for key, value in reported.items():
             assert summary[key] == pytest.approx(value, rel=1e-7), key
 
+    def test_overflowing_hover_exit_2_from_both_commands(self, capsys, tmp_path):
+        # Gusts this strong throw the vehicle about 1e297 m, where the
+        # squared deviations overflow; blank ground keeps the render exact.
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "blind", "--duration", "0.5",
+            "--set", "sim.wind_sigma=1e300", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: std_x overflows")
+        assert list(tmp_path.iterdir()) == []
+        rc = load_run_config("blind", None, {"sim": {"duration": 0.5, "wind_sigma": 1e300}})
+        path = tmp_path / "telemetry.csv"
+        path.write_bytes(write_csv(run_episode(rc.sim, rc.gains, rc.tracker)))
+        code, out, err = run_cli(capsys, "report", str(path), "--settle", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: std_x overflows")
+
     def test_report_directory_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "report", str(tmp_path))
         assert code == 2
@@ -482,6 +516,21 @@ class TestSimulateAndReport:
         assert err.startswith("error: cannot create output directory ")
         assert str(tmp_path / bad) in err
         assert list(tmp_path.rglob("telemetry.csv")) == []  # failed before any flight
+
+    @pytest.mark.parametrize("name", ["telemetry.csv", "summary.json"])
+    @pytest.mark.parametrize("sweep, bad", [([], "."), (["--sweep", "2"], "seed_12")],
+                             ids=["single", "sweep-second-seed"])
+    def test_unwritable_output_file_exit_2(self, capsys, tmp_path, name, sweep, bad):
+        (tmp_path / bad / name).mkdir(parents=True)
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "0.2", *sweep,
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {tmp_path / bad / name}: ")
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert written == []  # failed before any flight
 
     def test_sweep_runs_multiple_seeds(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowhold import sim
+from flowhold import sim, tracker
 from flowhold.config import load_run_config
 from flowhold.control import AttitudeCommand
 from flowhold.flow import LkParams, build_pyramid, track_points
+from flowhold.image import GrayImage
 from flowhold.sim import (
     ConfigError,
     GroundTexture,
@@ -81,6 +82,23 @@ def test_sim_config_rejects_rate_beyond_one_per_step(field):
     SimConfig(**{field: 200.0})  # exactly 1 per 0.005 s step
     with pytest.raises(ConfigError, match=field):
         SimConfig(**{field: 201.0})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"altitude": 1e300}, {"focal_px": 1e-300}, {"cell_size": 1e-300}, {"start_x": 1e300},
+     {"start_y": -2.0**51}, {"image_width": 2**40, "cell_size": 1e-7}],
+    ids=lambda f: ",".join(f),
+)
+def test_sim_config_rejects_inexact_cell_indices(fields):
+    with pytest.raises(ConfigError, match="beyond 2\\*\\*53") as info:
+        SimConfig(**fields)
+    assert all(name in str(info.value) for name in fields)
+
+
+def test_sim_config_accepts_cell_indices_just_below_2_53():
+    # 2**52 cells of 0.25 m out, plus the frame's 0.8 m half-diagonal.
+    SimConfig(start_x=2.0**50)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128 - 3], ids=repr)
@@ -431,6 +449,60 @@ class TestRunEpisode:
         run_episode(cfg, on_tick=lambda k, s: seen.append((k, s.generation)))
         assert [k for k, _ in seen] == list(range(11))
         assert all(g >= 1 for _, g in seen)
+
+
+def blank_at(ticks):
+    """A render_frame that shows flat ground on the given camera ticks."""
+    render = sim.render_frame
+
+    def frame(tex, vehicle, cfg, rng):
+        img = render(tex, vehicle, cfg, rng)
+        if round(vehicle.t * cfg.camera_rate) in ticks:
+            return GrayImage.full(cfg.image_width, cfg.image_height, 0.5)
+        return img
+
+    return frame
+
+
+class TestPyramidOwner:
+    """run_episode builds a frame's pyramid once, and only if LK reads it."""
+
+    def fly(self, monkeypatch, preset, duration, render=None):
+        rc = load_run_config(preset, None, {"sim": {"duration": duration}})
+        if render is not None:
+            monkeypatch.setattr(sim, "render_frame", render)
+        plain = write_csv(run_episode(rc.sim, rc.gains, rc.tracker))
+        built, read = [], []  # held, so every id below stays unique
+        build, track = sim.build_pyramid, tracker.track_points
+
+        def spy_build(image, levels):
+            built.append((image, build(image, levels)))
+            return built[-1][1]
+
+        def spy_track(prev, next_, points, params):
+            read.extend((prev, next_))
+            return track(prev, next_, points, params)
+
+        monkeypatch.setattr(sim, "build_pyramid", spy_build)
+        monkeypatch.setattr(tracker, "track_points", spy_track)
+        assert write_csv(run_episode(rc.sim, rc.gains, rc.tracker)) == plain
+        images = [id(image) for image, _ in built]
+        assert len(set(images)) == len(images)
+        assert {id(pyr) for _, pyr in built} == {id(pyr) for pyr in read}
+        return built
+
+    def test_blind_episode_builds_none(self, monkeypatch):
+        assert self.fly(monkeypatch, "blind", 1.0) == []
+
+    def test_textured_episode_builds_each_read_frame_once(self, monkeypatch):
+        assert len(self.fly(monkeypatch, "outdoor", 2.0)) == 51
+
+    def test_blind_start_builds_only_what_lk_reads(self, monkeypatch):
+        # Blind until tick 10, a blind spell at 25-29, and features found
+        # again on the last tick, whose frame LK never reads. LK reads
+        # frames 10-24 and 30-48, and the blank frames 25 and 49 as next.
+        blank = {*range(10), *range(25, 30), 49}
+        assert len(self.fly(monkeypatch, "outdoor", 2.0, blank_at(blank))) == 36
 
 
 def test_program_built_frames_keep_the_image_invariants():

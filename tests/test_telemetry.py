@@ -1,7 +1,9 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,26 @@ class TestDispersionStats:
         with pytest.raises(ValueError, match=field):
             dispersion_stats(records, **args)
 
+    @pytest.mark.parametrize("number", [float, np.float64], ids=["float", "float64"])
+    def test_overflowing_statistic_is_named(self, number):
+        # Finite positions 1e200 m apart: their squares overflow, as a
+        # Python float or a numpy scalar alike.
+        pos = [(number(1e200 if i % 2 else -1e200), number(0.0)) for i in range(10)]
+        with pytest.raises(ValueError, match="std_x overflows"):
+            dispersion_stats(make_records(pos), settle_time=0.0, frame_size_cm=58.0)
+
+    def test_overflowing_mean_is_named(self):
+        pos = [(0.0, 1.5e308)] * 10
+        with pytest.raises(ValueError, match="mean_y overflows"):
+            dispersion_stats(make_records(pos), settle_time=0.0, frame_size_cm=58.0)
+
+    def test_far_but_steady_hover_is_finite(self):
+        far = 2.0**660  # about 5e198, and its mean over 10 records is exact
+        report = dispersion_stats(
+            make_records([(far, -far)] * 10), settle_time=0.0, frame_size_cm=58.0
+        )
+        assert (report.mean_x, report.two_sigma_radial) == (far, 0.0)
+
     @settings(deadline=None, max_examples=60)
     @given(
         shift_x=st.floats(-5.0, 5.0),
@@ -117,7 +139,6 @@ class TestDispersionStats:
         seed=st.integers(0, 99),
     )
     def test_translation_invariance(self, shift_x, shift_y, seed):
-        import numpy as np
 
         rng = np.random.default_rng(seed)
         pos = [(float(x), float(y)) for x, y in rng.normal(0, 0.05, (40, 2))]
@@ -133,7 +154,6 @@ class TestDispersionStats:
     @settings(deadline=None, max_examples=60)
     @given(alpha=st.floats(0.1, 10.0), seed=st.integers(0, 99))
     def test_scaling_property(self, alpha, seed):
-        import numpy as np
 
         rng = np.random.default_rng(seed)
         pos = [(float(x), float(y)) for x, y in rng.normal(0, 0.05, (40, 2))]
@@ -157,7 +177,6 @@ class TestCsv:
         assert "blind" in cells[12]
 
     def test_round_trip_100_records(self):
-        import numpy as np
 
         rng = np.random.default_rng(13)
         pos = [(float(x), float(y)) for x, y in rng.normal(0, 1, (100, 2))]
@@ -278,6 +297,11 @@ class TestSummaryJson:
         records = make_records([(0.1 * i, -0.05 * i) for i in range(20)])
         report = dispersion_stats(records, settle_time=0.0, frame_size_cm=58.0)
         assert write_summary_json(report) == write_summary_json(report)
+
+    def test_non_finite_report_rejected(self):
+        report = dispersion_stats(make_records([(0.0, 0.0)] * 4), 0.0, 58.0)
+        with pytest.raises(ValueError):
+            write_summary_json(replace(report, std_x=math.inf))
 
     def test_digest_prepended(self):
         records = make_records([(0.0, 0.0)] * 4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowhold.corners import DetectParams, detect_corners
-from flowhold.flow import LkParams
+from flowhold.flow import LkParams, build_pyramid
 from flowhold.image import GrayImage
 from flowhold.sim import GroundTexture, SimConfig, VehicleState, render_frame
 from flowhold.tracker import (
@@ -20,7 +20,7 @@ from flowhold.tracker import (
     center_roi,
 )
 
-from util import in_rect, smooth_texture
+from util import advance_built, in_rect, smooth_texture
 
 
 def textured_frame(x=0.0, y=0.0, seed=11):
@@ -107,11 +107,31 @@ class TestAcquire:
 
 
 class TestAdvance:
+    @pytest.mark.parametrize("missing", ["prev_pyramid", "next_pyramid"])
+    def test_held_features_need_both_pyramids(self, missing):
+        frame, _ = textured_frame()
+        config = TrackerConfig()
+        state = acquire(frame, config)
+        pyramids = {name: build_pyramid(frame, config.lk.pyramid_levels)
+                    for name in ("prev_pyramid", "next_pyramid") if name != missing}
+        with pytest.raises(ValueError, match=missing):
+            advance(state, frame, frame, config, **pyramids)
+
+    def test_featureless_state_needs_no_pyramids(self):
+        frame, _ = textured_frame()
+        blank = GrayImage.full(frame.width, frame.height, 0.5)
+        config = TrackerConfig()
+        state = acquire(blank, config)
+        assert state.blind
+        new_state, events = advance(state, blank, frame, config)
+        assert events == [Reacquired()]
+        assert new_state.n_alive == acquire(frame, config).n_alive
+
     def test_identical_frames_full_survival(self):
         frame, _ = textured_frame()
         config = TrackerConfig()
         state = acquire(frame, config)
-        new_state, events = advance(state, frame, frame, config)
+        new_state, events = advance_built(state, frame, frame, config)
         assert events == []
         assert new_state.n_alive == state.n_alive
         assert new_state.generation == state.generation
@@ -125,7 +145,7 @@ class TestAdvance:
         frame_b, _ = textured_frame(x=3 * gsd)  # exactly 3 px of motion
         config = TrackerConfig()
         state = acquire(frame_a, config)
-        new_state, _ = advance(state, frame_a, frame_b, config)
+        new_state, _ = advance_built(state, frame_a, frame_b, config)
         assert new_state.best_id == state.best_id
         before = {f.id: f.position for f in state.features}
         moved = [f for f in new_state.features if f.id in before]
@@ -140,7 +160,7 @@ class TestAdvance:
         blank = GrayImage.full(frame.width, frame.height, 0.5)
         config = TrackerConfig()
         state = acquire(frame, config)
-        new_state, events = advance(state, frame, blank, config)
+        new_state, events = advance_built(state, frame, blank, config)
         assert any(isinstance(e, FeatureLost) for e in events)
         assert any(isinstance(e, Reacquired) for e in events)
         assert any(isinstance(e, Blind) for e in events)
@@ -152,7 +172,7 @@ class TestAdvance:
         config = TrackerConfig()
         state = acquire(frame, config)
         for _ in range(3):
-            state, events = advance(state, frame, frame, config)
+            state, events = advance_built(state, frame, frame, config)
             assert not any(isinstance(e, Reacquired) for e in events)
         assert state.generation == 1
 
@@ -161,7 +181,7 @@ class TestAdvance:
         state = acquire(frame, TrackerConfig())
         wrong = GrayImage.full(64, 64, 0.5)
         with pytest.raises(ValueError):
-            advance(state, frame, wrong, TrackerConfig())
+            advance_built(state, frame, wrong, TrackerConfig())
 
     def test_best_switch_on_best_death(self):
         # Deterministic setup: two features, kill the best by erasing
@@ -180,7 +200,7 @@ class TestAdvance:
         bx, by = int(round(best.position[0])), int(round(best.position[1]))
         px[by - 8 : by + 9, bx - 8 : bx + 9] = 0.5
         wiped = GrayImage(px)
-        new_state, events = advance(state, img, wiped, config)
+        new_state, events = advance_built(state, img, wiped, config)
         lost_ids = [e.feature_id for e in events if isinstance(e, FeatureLost)]
         assert best.id in lost_ids
         assert new_state.best_id == other.id
@@ -192,7 +212,7 @@ class TestAdvance:
         runs = []
         for _ in range(2):
             state = acquire(frame_a, config)
-            state, _ = advance(state, frame_a, frame_b, config)
+            state, _ = advance_built(state, frame_a, frame_b, config)
             runs.append([(f.id, f.position, f.age) for f in state.features])
         assert runs[0] == runs[1]
 
@@ -272,5 +292,5 @@ class TestInvariants:
         state = acquire(frames[0], config)
         assert_invariants(state, config)
         for prev, next_ in zip(frames, frames[1:]):
-            state, _ = advance(state, prev, next_, config)
+            state, _ = advance_built(state, prev, next_, config)
             assert_invariants(state, config)

@@ -14,8 +14,10 @@ import math
 import numpy as np
 
 from flowhold.corners import Corner, DetectParams, Rect
+from flowhold.flow import build_pyramid
 from flowhold.image import GrayImage
 from flowhold.sim import GroundTexture, SimConfig, VehicleState, _hash01
+from flowhold.tracker import TrackerConfig, TrackerState, advance
 
 SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64) / 8.0
 SOBEL_Y = SOBEL_X.T
@@ -77,6 +79,15 @@ def brute_bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
         bot = px[y1][x0] * (1.0 - fx) + px[y1][x1] * fx
         out.append(top * (1.0 - fy) + bot * fy)
     return np.array(out, dtype=np.float64).reshape(np.shape(xs))
+
+
+def advance_built(state: TrackerState, prev: GrayImage, next_: GrayImage, config: TrackerConfig):
+    """``advance`` with both frames' pyramids built at ``config.lk.pyramid_levels``."""
+    levels = config.lk.pyramid_levels
+    return advance(
+        state, prev, next_, config,
+        prev_pyramid=build_pyramid(prev, levels), next_pyramid=build_pyramid(next_, levels),
+    )
 
 
 def in_rect(roi: Rect, x: float, y: float) -> bool:
