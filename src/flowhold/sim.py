@@ -12,6 +12,13 @@ the current frame is tracked and flown. ``render_frame`` takes any
 object with ``standard_normal(shape)`` whose draws come in stream order,
 so the pipelined draw gives the same bytes as a plain Generator.
 
+``run_episode`` renders into a ring of two frame buffers it allocates
+once, frame k into buffer k % 2, since no frame is read more than one
+tick after its own: LK reads frame k-1 as prev on tick k, and nothing
+else keeps a frame. A tick thus allocates no frame (2.4 MB at 640x480)
+for the C allocator to hand back and fault in again.
+``render_frame`` returns a fresh frame on each call.
+
 The render has two routes, listed in ``render_frame``, chosen by the
 yaw and equal in bytes to flooring every pixel's world coordinates.
 The rotated, run-length route is exact because each rounded step of
@@ -154,10 +161,7 @@ class SimConfig:
             raise ConfigError("max_tilt must lie in (0, pi/2)")
         if self.image_width < 8 or self.image_height < 8:
             raise ConfigError("image dimensions must be at least 8x8")
-        # Render floors world / cell_size to int64 cell indices; below 2**53 each is exact.
-        half_diag_px = math.hypot(self.image_width, self.image_height) / 2
-        start = max(abs(self.start_x), abs(self.start_y))
-        if not (start + half_diag_px * self.ground_sample_distance) / self.cell_size < 2**53:
+        if not self._cells_exact(self.start_x, self.start_y):
             raise ConfigError(
                 "start_x, start_y, altitude, focal_px, image_width, image_height and cell_size "
                 "put the first frame's cell indices beyond 2**53"
@@ -195,6 +199,12 @@ class SimConfig:
 
     def make_texture(self) -> GroundTexture:
         return GroundTexture(seed=self.texture_seed, cell_size=self.cell_size)
+
+    def _cells_exact(self, x: float, y: float) -> bool:
+        # Render floors world / cell_size to int64 cell indices; below 2**53
+        # each is exact. False for a non-finite position too.
+        reach = math.hypot(self.image_width, self.image_height) / 2 * self.ground_sample_distance
+        return all((abs(c) + reach) / self.cell_size < 2**53 for c in (x, y))
 
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
@@ -241,24 +251,65 @@ _RUN = 8
 
 def _texture_runs(
     tex: GroundTexture, vehicle: VehicleState, gsd: float, cos_y: float, sin_y: float,
-    u: np.ndarray, v: np.ndarray,
-) -> np.ndarray:
+    u: np.ndarray, v: np.ndarray, out: np.ndarray,
+) -> None:
     # Exact by monotone rounding along rows (see the module docstring).
     # Block b is tested from its first column to the next block's first
     # column, or the frame's last. The last block is padded with copies
-    # of the last column, then cut.
+    # of the last column, whose duplicate writes carry equal values.
     h, w = v.shape[0], u.shape[0]
     nb = -(-w // _RUN)
-    ub = u[np.minimum(np.arange(nb * _RUN), w - 1)].reshape(nb, _RUN)
+    cols = np.minimum(np.arange(nb * _RUN), w - 1).reshape(nb, _RUN)
+    ub = u[cols]
     edges = np.append(ub[:, 0], u[-1])
     i, j = _cells(tex, *_rotate(vehicle, gsd, cos_y, sin_y, edges, v))
-    vals = np.repeat(_hash01(i[:, :-1], j[:, :-1], tex.seed), _RUN, axis=1)
+    # Indices in range, so "clip" changes nothing; "raise" would go through a temporary.
+    _hash01(i[:, :-1], j[:, :-1], tex.seed).take(np.arange(w) // _RUN, axis=1, out=out, mode="clip")
     # Blocks a cell edge may cross: every pixel of them, per pixel.
     mixed = np.flatnonzero((i[:, :-1] != i[:, 1:]) | (j[:, :-1] != j[:, 1:]))
     row, blk = np.divmod(mixed, nb)
     mi, mj = _cells(tex, *_rotate(vehicle, gsd, cos_y, sin_y, ub[blk], v[row]))
-    vals.reshape(h * nb, _RUN)[mixed] = _hash01(mi, mj, tex.seed)
-    return vals if nb * _RUN == w else np.ascontiguousarray(vals[:, :w])
+    out.reshape(-1)[row[:, None] * w + cols[blk]] = _hash01(mi, mj, tex.seed)
+
+
+def _render(
+    tex: GroundTexture, vehicle: VehicleState, cfg: SimConfig, rng, out: np.ndarray
+) -> np.ndarray:
+    # render_frame into ``out``, a C-contiguous float64 array of the frame's shape.
+    if cfg.blank_ground:
+        out.fill(0.5)
+    else:
+        if not cfg._cells_exact(vehicle.x, vehicle.y):
+            raise ConfigError(
+                f"sim: at t={vehicle.t:.3f} s the vehicle is at ({vehicle.x:g}, {vehicle.y:g}) m, "
+                "where the frame's cell indices reach 2**53 and no longer render exactly; "
+                "check wind_sigma, gravity and the gains"
+            )
+        u = np.arange(cfg.image_width, dtype=np.float64) - (cfg.image_width // 2)
+        v = (np.arange(cfg.image_height, dtype=np.float64) - (cfg.image_height // 2))[:, None]
+        gsd = cfg.ground_sample_distance
+        cos_y = math.cos(vehicle.yaw)
+        sin_y = math.sin(vehicle.yaw)
+        if sin_y == 0.0:
+            # c*u - 0*v == c*u up to the sign of zero, which floor ignores.
+            # Distinct column cells x distinct row cells never outnumber the
+            # pixels, however fine the cells.
+            i, j = _cells(tex, vehicle.x + gsd * (cos_y * u), vehicle.y + gsd * (cos_y * v[:, 0]))
+            ci, col = np.unique(i, return_inverse=True)
+            cj, row = np.unique(j, return_inverse=True)
+            table = _hash01(ci, cj[:, None], tex.seed).take(col, axis=1)
+            table.take(row, axis=0, out=out, mode="clip")  # in range; see _texture_runs
+        else:
+            _texture_runs(tex, vehicle, gsd, cos_y, sin_y, u, v, out)
+    if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:
+        out *= cfg.lowlight_gain
+        if cfg.lowlight_noise > 0.0:
+            # Same values and stream position as rng.normal(0.0, s, shape).
+            eta = rng.standard_normal(out.shape)
+            eta *= cfg.lowlight_noise
+            out += eta
+        np.clip(out, 0.0, 1.0, out=out)
+    return out
 
 
 def render_frame(
@@ -286,39 +337,17 @@ def render_frame(
       hashes more than one cell per pixel plus one per block.
 
     This is where blank ground is decided: with ``cfg.blank_ground`` set
-    the frame is a flat 0.5 and ``tex`` is not read. Low light applies
-    clamp(gain * i + eta, 0, 1) with eta drawn from ``rng``, which is
-    read only when there is pixel noise. ``rng`` is any object with
-    ``standard_normal(shape)`` that returns the stream's next draws in
-    order; the returned array is scaled in place and not kept.
+    the frame is a flat 0.5 and ``tex`` is not read. A textured frame
+    whose cell indices would reach 2**53, where int64 floors stop being
+    exact, is a ``ConfigError`` naming the time and position. Low light
+    applies clamp(gain * i + eta, 0, 1) with eta drawn from ``rng``,
+    which is read only when there is pixel noise. ``rng`` is any object
+    with ``standard_normal(shape)`` that returns the stream's next draws
+    in order; the returned array is scaled in place and not kept. Each
+    call returns a fresh array.
     """
-    if cfg.blank_ground:
-        vals = np.full((cfg.image_height, cfg.image_width), 0.5)
-    else:
-        u = np.arange(cfg.image_width, dtype=np.float64) - (cfg.image_width // 2)
-        v = (np.arange(cfg.image_height, dtype=np.float64) - (cfg.image_height // 2))[:, None]
-        gsd = cfg.ground_sample_distance
-        cos_y = math.cos(vehicle.yaw)
-        sin_y = math.sin(vehicle.yaw)
-        if sin_y == 0.0:
-            # c*u - 0*v == c*u up to the sign of zero, which floor ignores.
-            # Distinct column cells x distinct row cells never outnumber the
-            # pixels, however fine the cells.
-            i, j = _cells(tex, vehicle.x + gsd * (cos_y * u), vehicle.y + gsd * (cos_y * v[:, 0]))
-            ci, col = np.unique(i, return_inverse=True)
-            cj, row = np.unique(j, return_inverse=True)
-            vals = _hash01(ci, cj[:, None], tex.seed).take(col, axis=1).take(row, axis=0)
-        else:
-            vals = _texture_runs(tex, vehicle, gsd, cos_y, sin_y, u, v)
-    if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:
-        vals *= cfg.lowlight_gain
-        if cfg.lowlight_noise > 0.0:
-            # Same values and stream position as rng.normal(0.0, s, shape).
-            eta = rng.standard_normal(vals.shape)
-            eta *= cfg.lowlight_noise
-            vals += eta
-        np.clip(vals, 0.0, 1.0, out=vals)
-    return GrayImage._trusted(vals)
+    shape = (cfg.image_height, cfg.image_width)
+    return GrayImage._trusted(_render(tex, vehicle, cfg, rng, np.empty(shape)))
 
 
 class _NoiseAhead:
@@ -441,6 +470,13 @@ def run_episode(
 
     With pixel noise, the next frame's noise is drawn on a helper thread
     during the rest of the tick; no helper outlives the call.
+
+    The loop owns its frames: it allocates two frame buffers once and
+    renders frame k into buffer k % 2. No frame lives longer than two
+    ticks: LK reads frame k-1 as prev on tick k, ``advance`` and
+    ``acquire`` keep no image, and ``on_tick`` sees tracker state only.
+    So the buffer frame k overwrites held frame k-2, which nothing
+    references any more, and a tick allocates no frame.
     """
     if gains is None:
         gains = PidGains()
@@ -450,9 +486,12 @@ def run_episode(
     tex = cfg.make_texture()
     wind_rng = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 1))
     noise = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 2))
+    shape = (cfg.image_height, cfg.image_width)
     ahead = cfg.lowlight_noise > 0.0
     if ahead:
-        noise = _NoiseAhead(noise, (cfg.image_height, cfg.image_width))
+        noise = _NoiseAhead(noise, shape)
+    # Frame k is rendered into ring[k % 2]; see the docstring for why two suffice.
+    ring = (np.empty(shape), np.empty(shape))
 
     controller = PositionHoldController(gains)
     vehicle = VehicleState(x=cfg.start_x, y=cfg.start_y)
@@ -469,7 +508,8 @@ def run_episode(
 
     try:
         for k in range(n_ticks + 1):
-            img = render_frame(tex, vehicle, cfg, noise)
+            # A read-only view: the frame is frozen, the buffer stays writable.
+            img = GrayImage._trusted(_render(tex, vehicle, cfg, noise, ring[k % 2]).view())
             if ahead and k < n_ticks:
                 noise.fill()
             # Only LK reads a pyramid: as next on this tick, as prev on the next.

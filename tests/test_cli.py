@@ -443,6 +443,19 @@ class TestSimulateAndReport:
         assert out == ""
         assert err.startswith("error: std_x overflows")
 
+    @pytest.mark.parametrize("setting", ["sim.wind_sigma=1e300", "sim.gravity=1e300"])
+    def test_flight_beyond_exact_cells_exit_2(self, capsys, tmp_path, setting):
+        # Textured ground: the first frame is in range, a later one would
+        # render from about 1e295 m, so the flight stops before rendering it.
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "calm", "--duration", "0.5",
+            "--set", setting, "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sim: at t=") and "2**53" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_directory_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "report", str(tmp_path))
         assert code == 2

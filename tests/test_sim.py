@@ -12,7 +12,6 @@ from flowhold import sim, tracker
 from flowhold.config import load_run_config
 from flowhold.control import AttitudeCommand
 from flowhold.flow import LkParams, build_pyramid, track_points
-from flowhold.image import GrayImage
 from flowhold.sim import (
     ConfigError,
     GroundTexture,
@@ -24,7 +23,7 @@ from flowhold.sim import (
     step_dynamics,
     wind_step,
     _NoiseAhead,
-    _texture_runs,
+    _render,
 )
 from flowhold.telemetry import dispersion_stats, write_csv
 
@@ -179,6 +178,16 @@ class TestRenderFrame:
         b = render_frame(tex, VehicleState(), dim, quiet())
         np.testing.assert_allclose(b.pixels, a.pixels * 0.25, atol=1e-15)
 
+    @pytest.mark.parametrize("x", [1e300, -3e15, math.inf, math.nan])
+    def test_frame_beyond_exact_cells_is_rejected(self, x):
+        # 0.125 m cells: 2**53 of them end near 1.1e15 m.
+        cfg = SimConfig(texture_seed=9, cell_size=0.125)
+        with pytest.raises(ConfigError, match=r"2\*\*53"):
+            render_frame(cfg.make_texture(), VehicleState(y=x, t=1.5), cfg, quiet())
+        blank = SimConfig(texture_seed=9, cell_size=0.125, blank_ground=True)  # reads no cell
+        flat = render_frame(blank.make_texture(), VehicleState(y=x), blank, quiet())
+        assert flat.pixels.min() == flat.pixels.max() == 0.5
+
     def test_camera_flow_sign_consistency(self):
         # A vehicle displacement of +d meters moves image content by
         # -d*f/h pixels; this pins the sign chain end to end.
@@ -261,17 +270,13 @@ class TestRenderOracle:
 
     @pytest.mark.parametrize("cell_px", [0.9, 3.0, 7.95, 8.05, 12.5], ids=repr)
     def test_runs_exact_when_cells_cross_every_block(self, cell_px):
-        # The runs alone, off-centre: exact with several cell edges inside
-        # one block, or one edge in most blocks.
+        # The runs off-centre, into a buffer: exact with several cell edges
+        # inside one block, or one edge in most blocks.
         cfg = SimConfig(texture_seed=9, cell_size=cell_px * 0.002, image_width=203, image_height=61)
-        u = np.arange(203, dtype=np.float64) - 101
-        v = (np.arange(61, dtype=np.float64) - 30)[:, None]
         for yaw in RUN_YAWS:
             vehicle = VehicleState(x=1.3, y=-0.7, yaw=yaw)
-            got = _texture_runs(
-                cfg.make_texture(), vehicle, cfg.ground_sample_distance,
-                math.cos(yaw), math.sin(yaw), u, v,
-            )
+            # NaN first, so a pixel the runs leave unwritten shows.
+            got = _render(cfg.make_texture(), vehicle, cfg, quiet(), np.full((61, 203), np.nan))
             assert got.tobytes() == brute_render(cfg.make_texture(), vehicle, cfg).tobytes()
 
     @settings(deadline=None, max_examples=150)
@@ -452,14 +457,14 @@ class TestRunEpisode:
 
 
 def blank_at(ticks):
-    """A render_frame that shows flat ground on the given camera ticks."""
-    render = sim.render_frame
+    """A sim._render that shows flat ground on the given camera ticks."""
+    render = sim._render
 
-    def frame(tex, vehicle, cfg, rng):
-        img = render(tex, vehicle, cfg, rng)
+    def frame(tex, vehicle, cfg, rng, out):
+        render(tex, vehicle, cfg, rng, out)
         if round(vehicle.t * cfg.camera_rate) in ticks:
-            return GrayImage.full(cfg.image_width, cfg.image_height, 0.5)
-        return img
+            out.fill(0.5)
+        return out
 
     return frame
 
@@ -470,7 +475,7 @@ class TestPyramidOwner:
     def fly(self, monkeypatch, preset, duration, render=None):
         rc = load_run_config(preset, None, {"sim": {"duration": duration}})
         if render is not None:
-            monkeypatch.setattr(sim, "render_frame", render)
+            monkeypatch.setattr(sim, "_render", render)
         plain = write_csv(run_episode(rc.sim, rc.gains, rc.tracker))
         built, read = [], []  # held, so every id below stays unique
         build, track = sim.build_pyramid, tracker.track_points
@@ -503,6 +508,49 @@ class TestPyramidOwner:
         # frames 10-24 and 30-48, and the blank frames 25 and 49 as next.
         blank = {*range(10), *range(25, 30), 49}
         assert len(self.fly(monkeypatch, "outdoor", 2.0, blank_at(blank))) == 36
+
+
+class TestFrameRing:
+    """run_episode renders into two buffers it owns; render_frame into fresh ones."""
+
+    @pytest.mark.parametrize("preset", ["outdoor", "blind", "lowlight"])
+    def test_episode_renders_into_two_buffers(self, monkeypatch, preset):
+        rc = load_run_config(preset, None, {"sim": {"duration": 0.4}})
+        plain = write_csv(run_episode(rc.sim, rc.gains, rc.tracker))
+        outs, frames = [], []
+        render, advance = sim._render, sim.advance
+
+        def spy_render(tex, vehicle, cfg, rng, out):
+            outs.append(out)
+            return render(tex, vehicle, cfg, rng, out)
+
+        def spy_advance(state, prev, next_, cfg, **pyramids):
+            frames.append((prev.pixels, next_.pixels))
+            return advance(state, prev, next_, cfg, **pyramids)
+
+        monkeypatch.setattr(sim, "_render", spy_render)
+        monkeypatch.setattr(sim, "advance", spy_advance)
+        assert write_csv(run_episode(rc.sim, rc.gains, rc.tracker)) == plain
+        assert len(outs) == 11 and len({id(out) for out in outs}) == 2
+        assert all(out is outs[k % 2] for k, out in enumerate(outs))
+        # Tick k's advance reads frames k-1 and k: frozen views of their buffers.
+        for k, (prev, next_) in enumerate(frames, start=1):
+            assert prev.base is outs[(k - 1) % 2] and next_.base is outs[k % 2]
+            assert not prev.flags.writeable and not next_.flags.writeable
+
+    @pytest.mark.parametrize("scene", ["plain", "blank_ground", "lowlight"])
+    @pytest.mark.parametrize("yaw", [0.0, 0.15])
+    def test_render_frame_returns_fresh_frozen_frames(self, scene, yaw):
+        cfg = _render_scene(scene)
+        tex, rng = cfg.make_texture(), np.random.default_rng(4)
+        held = render_frame(tex, VehicleState(yaw=yaw), cfg, rng)
+        want = held.pixels.tobytes()
+        for x in (0.1, 0.2):
+            later = render_frame(tex, VehicleState(x=x, yaw=yaw), cfg, rng)
+            assert not later.pixels.flags.writeable
+            assert not np.shares_memory(later.pixels, held.pixels)
+        assert not held.pixels.flags.writeable
+        assert held.pixels.tobytes() == want
 
 
 def test_program_built_frames_keep_the_image_invariants():
@@ -543,13 +591,13 @@ class TestNoiseAhead:
 
     def test_episode_draws_no_frame_past_the_last(self, monkeypatch):
         sources = []
-        render = sim.render_frame
+        render = sim._render
 
-        def spy(tex, vehicle, cfg, rng):
+        def spy(tex, vehicle, cfg, rng, out):
             sources.append(rng)
-            return render(tex, vehicle, cfg, rng)
+            return render(tex, vehicle, cfg, rng, out)
 
-        monkeypatch.setattr(sim, "render_frame", spy)
+        monkeypatch.setattr(sim, "_render", spy)
         cfg = lowlight(0.4)
         records = run_episode(cfg)
         serial = philox(cfg.texture_seed + 2)
