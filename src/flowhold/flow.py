@@ -187,12 +187,8 @@ def track_points(
 
     n = pts.shape[0]
     win = 2 * r + 1
-    # Window offsets as a row (x) and a column (y): a gather broadcasts
-    # (n, 1, k) x against (n, k, 1) y, so per-axis work stays per axis.
-    ox = np.arange(-r, r + 1.0)
-    oy = ox[:, None]
-    ox2 = np.arange(-r - 1, r + 2.0)
-    oy2 = ox2[:, None]
+    oy, ox = np.mgrid[-r : r + 1, -r : r + 1].astype(np.float64)
+    oy2, ox2 = np.mgrid[-r - 1 : r + 2, -r - 1 : r + 2].astype(np.float64)
 
     status = np.full(n, _TRACKED, dtype=np.int64)
     flow = np.zeros((n, 2), dtype=np.float64)

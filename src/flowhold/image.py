@@ -144,12 +144,7 @@ def save_pgm(image: GrayImage) -> bytes:
 
 
 def bilinear_many(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized bilinear sampling. Coordinates must be in bounds already.
-
-    ``xs`` and ``ys`` broadcast against each other, so a grid of samples
-    may come as a row of x and a column of y; each axis is then floored,
-    clipped and split into fractions once per value, not per sample.
-    """
+    """Vectorized bilinear sampling. Coordinates must be in bounds already."""
     h, w = pixels.shape
     # Floor and clip in float (whole numbers, exact below 2**53). After the
     # clip the right and lower neighbours lie 1 and w further in the flat
@@ -158,7 +153,7 @@ def bilinear_many(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     y0 = np.clip(np.floor(ys), 0, max(h - 2, 0))
     fx = xs - x0
     fy = ys - y0
-    i = y0.astype(np.int64) * w + x0.astype(np.int64)
+    i = (y0 * w + x0).astype(np.int64)
     dx, dy = (1 if w > 1 else 0), (w if h > 1 else 0)
     flat = pixels.ravel()
     gx = 1.0 - fx

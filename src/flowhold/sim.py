@@ -12,13 +12,6 @@ the current frame is tracked and flown. ``render_frame`` takes any
 object with ``standard_normal(shape)`` whose draws come in stream order,
 so the pipelined draw gives the same bytes as a plain Generator.
 
-``run_episode`` renders into a ring of two frame buffers it allocates
-once, frame k into buffer k % 2, since no frame is read more than one
-tick after its own: LK reads frame k-1 as prev on tick k, and nothing
-else keeps a frame. A tick thus allocates no frame (2.4 MB at 640x480)
-for the C allocator to hand back and fault in again.
-``render_frame`` returns a fresh frame on each call.
-
 The render has two routes, listed in ``render_frame``, chosen by the
 yaw and equal in bytes to flooring every pixel's world coordinates.
 The rotated, run-length route is exact because each rounded step of
@@ -471,12 +464,18 @@ def run_episode(
     With pixel noise, the next frame's noise is drawn on a helper thread
     during the rest of the tick; no helper outlives the call.
 
-    The loop owns its frames: it allocates two frame buffers once and
-    renders frame k into buffer k % 2. No frame lives longer than two
-    ticks: LK reads frame k-1 as prev on tick k, ``advance`` and
-    ``acquire`` keep no image, and ``on_tick`` sees tracker state only.
-    So the buffer frame k overwrites held frame k-2, which nothing
-    references any more, and a tick allocates no frame.
+    The loop owns its frames: from frame 3 on, frame k is rendered
+    into the buffer of frame k-2. No frame lives longer than two ticks:
+    LK reads frame k-1 as prev on tick k, ``advance`` and ``acquire``
+    keep no image, and ``on_tick`` sees tracker state only. So nothing
+    references frame k-2 any more, and a tick allocates no frame.
+    Frames 0 to 2 get fresh arrays, and frame 0's is freed after tick 1,
+    before frame 2's is allocated. glibc's malloc hands the top of its
+    heap back to the system once it exceeds twice the largest mapped
+    block freed so far; that one freed frame lifts the bar above the
+    tick's smaller temporaries (pyramid levels, the rotated render's
+    block arrays), which a fresh process would otherwise trim and fault
+    in again on every tick.
     """
     if gains is None:
         gains = PidGains()
@@ -490,8 +489,7 @@ def run_episode(
     ahead = cfg.lowlight_noise > 0.0
     if ahead:
         noise = _NoiseAhead(noise, shape)
-    # Frame k is rendered into ring[k % 2]; see the docstring for why two suffice.
-    ring = (np.empty(shape), np.empty(shape))
+    ring = [None, None]
 
     controller = PositionHoldController(gains)
     vehicle = VehicleState(x=cfg.start_x, y=cfg.start_y)
@@ -508,8 +506,11 @@ def run_episode(
 
     try:
         for k in range(n_ticks + 1):
+            out = np.empty(shape) if k < 3 else ring[k % 2]
+            if k:
+                ring[k % 2] = out
             # A read-only view: the frame is frozen, the buffer stays writable.
-            img = GrayImage._trusted(_render(tex, vehicle, cfg, noise, ring[k % 2]).view())
+            img = GrayImage._trusted(_render(tex, vehicle, cfg, noise, out).view())
             if ahead and k < n_ticks:
                 noise.fill()
             # Only LK reads a pyramid: as next on this tick, as prev on the next.

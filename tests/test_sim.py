@@ -511,7 +511,7 @@ class TestPyramidOwner:
 
 
 class TestFrameRing:
-    """run_episode renders into two buffers it owns; render_frame into fresh ones."""
+    """run_episode renders into two buffers it owns from frame 1 on; render_frame into fresh ones."""
 
     @pytest.mark.parametrize("preset", ["outdoor", "blind", "lowlight"])
     def test_episode_renders_into_two_buffers(self, monkeypatch, preset):
@@ -531,11 +531,12 @@ class TestFrameRing:
         monkeypatch.setattr(sim, "_render", spy_render)
         monkeypatch.setattr(sim, "advance", spy_advance)
         assert write_csv(run_episode(rc.sim, rc.gains, rc.tracker)) == plain
-        assert len(outs) == 11 and len({id(out) for out in outs}) == 2
-        assert all(out is outs[k % 2] for k, out in enumerate(outs))
+        # Frames 0 to 2 into arrays of their own, frame k >= 3 into frame k-2's.
+        assert len(outs) == 11 and len({id(out) for out in outs}) == 3
+        assert all(outs[k] is outs[k - 2] for k in range(3, len(outs)))
         # Tick k's advance reads frames k-1 and k: frozen views of their buffers.
         for k, (prev, next_) in enumerate(frames, start=1):
-            assert prev.base is outs[(k - 1) % 2] and next_.base is outs[k % 2]
+            assert prev.base is outs[k - 1] and next_.base is outs[k]
             assert not prev.flags.writeable and not next_.flags.writeable
 
     @pytest.mark.parametrize("scene", ["plain", "blank_ground", "lowlight"])
