@@ -9,6 +9,7 @@ only; callers that want same-size gradients pad their input first.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
 ]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*([^ \t\n\r\x0b\x0c]*)")
 
 
 class PgmError(ValueError):
@@ -74,21 +76,9 @@ class GrayImage:
 
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    # Skips whitespace and '#' comment lines, then reads one token.
-    n = len(buf)
-    while pos < n:
-        ch = buf[pos : pos + 1]
-        if ch in _WHITESPACE:
-            pos += 1
-        elif ch == b"#":
-            while pos < n and buf[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and buf[pos : pos + 1] not in _WHITESPACE:
-        pos += 1
-    return buf[start:pos], pos
+    # Skips whitespace and '#' comments up to the line's end, then reads one token.
+    m = _TOKEN.match(buf, pos)
+    return m[1], m.end()
 
 
 def _int_token(buf: bytes, pos: int, field: str) -> tuple[int, int]:

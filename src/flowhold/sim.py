@@ -8,17 +8,28 @@ substeps in between, and is bit-reproducible from its config.
 
 A frame's pixel noise depends only on the noise stream's position, so
 ``run_episode`` draws the next frame's noise on a helper thread while
-the current frame is tracked and flown. ``render_frame`` takes any
-object with ``standard_normal(shape)`` whose draws come in stream order,
-so the pipelined draw gives the same bytes as a plain Generator.
+the current frame is rendered, tracked and flown, with the same bytes
+as ``render_frame``'s serial draw.
 
-The render has two routes, listed in ``render_frame``, chosen by the
-yaw and equal in bytes to flooring every pixel's world coordinates.
-The rotated, run-length route is exact because each rounded step of
-floor((x + gsd*(c*u - s*v)) * (1/cell)), and of its y twin, is
-monotone in the column u: along a row both cell indices are monotone
-step functions, so the columns between two that share a cell lie in
-it too, and a row's extreme cells lie at its ends.
+The render has two routes, chosen by the yaw, each equal in bytes to
+flooring every pixel's world coordinates:
+
+- sin(yaw) == 0: world x depends on the column only and y on the row
+  only, so each distinct column cell is hashed against each distinct
+  row cell, and the frame is whole columns, then whole rows, of that
+  table.
+- rotated: the per-pixel expression is evaluated at every ``_RUN``-th
+  column and the last. A block whose first column shares a cell with
+  the next sampled column takes that cell's hash throughout; only the
+  other blocks, which a cell edge may cross, are hashed per pixel.
+  This is exact because each rounded step of
+  floor((x + gsd*(c*u - s*v)) * (1/cell)), and of its y twin, is
+  monotone in the column u: along a row both cell indices are
+  monotone step functions, so the columns between two that share a
+  cell lie in it too.
+
+However fine the cells, neither route hashes more than one cell per
+pixel plus one per block.
 """
 
 from __future__ import annotations
@@ -246,7 +257,6 @@ def _texture_runs(
     tex: GroundTexture, vehicle: VehicleState, gsd: float, cos_y: float, sin_y: float,
     u: np.ndarray, v: np.ndarray, out: np.ndarray,
 ) -> None:
-    # Exact by monotone rounding along rows (see the module docstring).
     # Block b is tested from its first column to the next block's first
     # column, or the frame's last. The last block is padded with copies
     # of the last column, whose duplicate writes carry equal values.
@@ -266,9 +276,12 @@ def _texture_runs(
 
 
 def _render(
-    tex: GroundTexture, vehicle: VehicleState, cfg: SimConfig, rng, out: np.ndarray
+    tex: GroundTexture, vehicle: VehicleState, cfg: SimConfig, eta: np.ndarray | None,
+    out: np.ndarray,
 ) -> np.ndarray:
     # render_frame into ``out``, a C-contiguous float64 array of the frame's shape.
+    # ``eta`` is the frame's standard-normal draw, scaled in place, or None
+    # when the frame has no pixel noise.
     if cfg.blank_ground:
         out.fill(0.5)
     else:
@@ -294,12 +307,14 @@ def _render(
             table.take(row, axis=0, out=out, mode="clip")  # in range; see _texture_runs
         else:
             _texture_runs(tex, vehicle, gsd, cos_y, sin_y, u, v, out)
-    if cfg.lowlight_gain != 1.0 or cfg.lowlight_noise > 0.0:
+    if cfg.lowlight_gain != 1.0 or eta is not None:
         out *= cfg.lowlight_gain
-        if cfg.lowlight_noise > 0.0:
-            # Same values and stream position as rng.normal(0.0, s, shape).
-            eta = rng.standard_normal(out.shape)
-            eta *= cfg.lowlight_noise
+        if eta is not None:
+            # Same values as rng.normal(0.0, s, shape) from the same position.
+            # A product beyond the float range is +-inf, which the clamp
+            # maps to the same bound as the true value.
+            with np.errstate(over="ignore"):
+                eta *= cfg.lowlight_noise
             out += eta
         np.clip(out, 0.0, 1.0, out=out)
     return out
@@ -315,56 +330,44 @@ def render_frame(
 
     Pixel (u, v) maps to the world point pos + R(yaw) @ offset where
     offset = ((u - cx) * h/f, (v - cy) * h/f). Camera tilt is not
-    modeled. Two routes with identical bytes hash the cells in view:
-
-    - sin(yaw) == 0: world x depends on the column only and y on the
-      row only, so coordinates are one row and one column vector; each
-      distinct column cell is hashed against each distinct row cell,
-      and the frame is whole columns, then whole rows, of that table.
-    - rotated: the exact per-pixel expression is evaluated at every
-      ``_RUN``-th column and the last. Since it rounds monotonically
-      along a row, a block whose first column shares a cell with the
-      next sampled column takes that cell's hash throughout, one hash
-      per block; only the other blocks, which a cell edge may cross,
-      are hashed per pixel. However fine the cells, neither route
-      hashes more than one cell per pixel plus one per block.
+    modeled.
 
     This is where blank ground is decided: with ``cfg.blank_ground`` set
     the frame is a flat 0.5 and ``tex`` is not read. A textured frame
     whose cell indices would reach 2**53, where int64 floors stop being
     exact, is a ``ConfigError`` naming the time and position. Low light
     applies clamp(gain * i + eta, 0, 1) with eta drawn from ``rng``,
-    which is read only when there is pixel noise. ``rng`` is any object
-    with ``standard_normal(shape)`` that returns the stream's next draws
-    in order; the returned array is scaled in place and not kept. Each
-    call returns a fresh array.
+    which is read only when there is pixel noise. Each call returns a
+    fresh array.
     """
     shape = (cfg.image_height, cfg.image_width)
-    return GrayImage._trusted(_render(tex, vehicle, cfg, rng, np.empty(shape)))
+    eta = rng.standard_normal(shape) if cfg.lowlight_noise > 0.0 else None
+    return GrayImage._trusted(_render(tex, vehicle, cfg, eta, np.empty(shape)))
 
 
 class _NoiseAhead:
     """Pixel noise drawn one frame ahead on a helper thread.
 
-    ``standard_normal`` waits for the draw ``fill`` started, or draws on
-    the spot, and returns one reused buffer of the shape given here. The
-    stream is read in order, so the values equal ``rng``'s own draws.
+    ``wait`` returns the draw ``start`` began, or draws on the spot. Two
+    buffers take turns, so the helper can fill the next frame's while the
+    caller reads the one ``wait`` returned, until the following ``wait``.
+    The stream is read in order, so the values equal ``rng``'s own draws.
     numpy releases the GIL while it fills, so the helper uses another core.
     """
 
     def __init__(self, rng: np.random.Generator, shape: tuple[int, int]) -> None:
         self._rng = rng
-        self._buf = np.empty(shape)
+        self._fill, self._ready = np.empty(shape), np.empty(shape)
         self._thread: threading.Thread | None = None
         self._error: Exception | None = None
 
     def _draw(self) -> None:
         try:
-            self._rng.standard_normal(out=self._buf)
+            self._rng.standard_normal(out=self._fill)
         except Exception as exc:  # raised again in the caller's thread
             self._error = exc
 
-    def fill(self) -> None:
+    def start(self) -> None:
         """Start drawing the next frame's noise on a helper thread."""
         self._thread = threading.Thread(target=self._draw)
         self._thread.start()
@@ -372,15 +375,17 @@ class _NoiseAhead:
     def join(self) -> None:
         if self._thread is not None:
             self._thread.join()
-            self._thread = None
 
-    def standard_normal(self, shape: tuple[int, int]) -> np.ndarray:
+    def wait(self) -> np.ndarray:
+        """The next frame's noise; an error in the helper is raised here."""
         if self._thread is None:
             self._draw()
         self.join()
+        self._thread = None  # so a join before this wait keeps the started draw
         if self._error is not None:
             raise self._error
-        return self._buf
+        self._fill, self._ready = self._ready, self._fill
+        return self._ready
 
 
 def wind_step(
@@ -390,10 +395,6 @@ def wind_step(
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     decay = 1.0 - cfg.wind_rate * dt
-    if cfg.wind_sigma == 0.0:
-        # No forcing, pure mean reversion; the rng is untouched so
-        # toggling wind never perturbs other streams.
-        return WindState(ax=wind.ax * decay, ay=wind.ay * decay)
     nx, ny = rng.normal(0.0, 1.0, 2)
     kick = cfg.wind_sigma * math.sqrt(dt)
     return WindState(ax=wind.ax * decay + kick * nx, ay=wind.ay * decay + kick * ny)
@@ -462,7 +463,8 @@ def run_episode(
     after each tick's tracker update; it must not mutate anything.
 
     With pixel noise, the next frame's noise is drawn on a helper thread
-    during the rest of the tick; no helper outlives the call.
+    while this frame renders and the tick runs; no helper outlives the
+    call.
 
     The loop owns its frames: from frame 3 on, frame k is rendered
     into the buffer of frame k-2. No frame lives longer than two ticks:
@@ -484,11 +486,10 @@ def run_episode(
 
     tex = cfg.make_texture()
     wind_rng = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 1))
-    noise = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 2))
     shape = (cfg.image_height, cfg.image_width)
-    ahead = cfg.lowlight_noise > 0.0
-    if ahead:
-        noise = _NoiseAhead(noise, shape)
+    noise = None
+    if cfg.lowlight_noise > 0.0:
+        noise = _NoiseAhead(np.random.Generator(np.random.Philox(key=cfg.texture_seed + 2)), shape)
     ring = [None, None]
 
     controller = PositionHoldController(gains)
@@ -496,8 +497,6 @@ def run_episode(
     wind = WindState()
     frame_dt = cfg.frame_dt
     n_ticks = cfg.n_ticks
-    substeps = cfg.substeps
-    levels = tracker_cfg.lk.pyramid_levels
 
     records: list[FrameRecord] = []
     state = None
@@ -509,16 +508,19 @@ def run_episode(
             out = np.empty(shape) if k < 3 else ring[k % 2]
             if k:
                 ring[k % 2] = out
+            eta = None if noise is None else noise.wait()
+            if noise is not None and k < n_ticks:
+                noise.start()  # the next frame's, while this one renders
             # A read-only view: the frame is frozen, the buffer stays writable.
-            img = GrayImage._trusted(_render(tex, vehicle, cfg, noise, out).view())
-            if ahead and k < n_ticks:
-                noise.fill()
-            # Only LK reads a pyramid: as next on this tick, as prev on the next.
-            pyr = build_pyramid(img, levels) if state is not None and state.features else None
+            img = GrayImage._trusted(_render(tex, vehicle, cfg, eta, out).view())
             flags = set()
+            pyr = None
             if state is None:
                 state = acquire(img, tracker_cfg)
             else:
+                if state.features:  # only LK reads a pyramid
+                    prev_pyr = prev_pyr or build_pyramid(prev_img, tracker_cfg.lk.pyramid_levels)
+                    pyr = build_pyramid(img, tracker_cfg.lk.pyramid_levels)
                 state, events = advance(
                     state, prev_img, img, tracker_cfg,
                     prev_pyramid=prev_pyr, next_pyramid=pyr,
@@ -557,13 +559,11 @@ def run_episode(
                 )
             )
             if k < n_ticks:
-                if pyr is None and state.features:
-                    pyr = build_pyramid(img, levels)
-                for _ in range(substeps):
+                for _ in range(cfg.substeps):
                     wind = wind_step(wind, cfg, cfg.physics_dt, wind_rng)
                     vehicle = step_dynamics(vehicle, cmd, wind, cfg, cfg.physics_dt)
             prev_img, prev_pyr = img, pyr
     finally:
-        if ahead:
+        if noise is not None:
             noise.join()
     return records

@@ -1,15 +1,22 @@
+import dataclasses
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowhold.cli import main
 from flowhold.config import load_run_config
+from flowhold.control import PidGains
 from flowhold.corners import DetectParams, Rect, detect_corners
 from flowhold.flow import LkParams
 from flowhold.image import GrayImage, load_pgm, save_pgm
-from flowhold.sim import run_episode
+from flowhold.sim import SimConfig, run_episode
 from flowhold.telemetry import CSV_HEADER, write_csv
 
 from util import smooth_texture, square_fixture
@@ -554,6 +561,49 @@ class TestSimulateAndReport:
         assert (tmp_path / "seed_11" / "telemetry.csv").exists()
         assert (tmp_path / "seed_12" / "telemetry.csv").exists()
         assert out.count("two_sigma_radial") == 2
+
+
+# Float fields that shape the flight, not how long it runs.
+ENVELOPE_FIELDS = [
+    f"{section}.{field.name}"
+    for section, cls in (("sim", SimConfig), ("gains", PidGains))
+    for field in dataclasses.fields(cls)
+    if field.type == "float" and field.name not in ("duration", "physics_dt", "camera_rate")
+]
+EXTREMES = [
+    sign * m
+    for m in (0.0, 5e-324, 1e-300, 1e-150, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e150, 1e300, sys.float_info.max)
+    for sign in (1.0, -1.0)
+]
+
+
+def _strict_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in _numbers(item)]
+    return [node] if isinstance(node, (int, float)) else []
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.dictionaries(st.sampled_from(ENVELOPE_FIELDS), st.sampled_from(EXTREMES), min_size=1, max_size=3))
+def test_flight_envelope_exits_2_or_reports_finite(overrides):
+    # Any accepted setting flies to a finite, strictly parseable report;
+    # any other is a usage error. A runtime error (exit 1) fails.
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["simulate", "--preset", "calm", "--duration", "0.5", "--out", out]
+        for key, value in overrides.items():
+            argv += ["--set", f"{key}={value!r}"]
+        code = main(argv)
+        assert code in (0, 2)
+        if code == 0:
+            text = (Path(out) / "summary.json").read_text()
+            summary = json.loads(text, parse_constant=_strict_constant)
+            assert all(math.isfinite(x) for x in _numbers(summary))
 
 
 class TestHelp:

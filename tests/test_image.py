@@ -72,6 +72,23 @@ class TestLoadPgm:
         img = load_pgm(data)
         np.testing.assert_allclose(img.pixels, np.array([[10, 20]]) / 255)
 
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            (b"P5\n# ends at a CR\r2 1\n255\n", None),
+            # '#' starts a comment only where a token may start.
+            (b"P5 2#1 1 255\n", r"^width: expected an integer, got b'2#1'$"),
+        ],
+        ids=["comment-ends-at-cr", "hash-inside-token"],
+    )
+    def test_header_token_edges(self, header, error):
+        data = header + bytes([10, 20])
+        if error is None:
+            np.testing.assert_allclose(load_pgm(data).pixels, np.array([[10, 20]]) / 255)
+        else:
+            with pytest.raises(PgmError, match=error):
+                load_pgm(data)
+
     def test_non_numeric_width(self):
         with pytest.raises(PgmError, match="width"):
             load_pgm(b"P5 x 2 255 " + bytes(4))

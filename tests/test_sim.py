@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -276,7 +277,7 @@ class TestRenderOracle:
         for yaw in RUN_YAWS:
             vehicle = VehicleState(x=1.3, y=-0.7, yaw=yaw)
             # NaN first, so a pixel the runs leave unwritten shows.
-            got = _render(cfg.make_texture(), vehicle, cfg, quiet(), np.full((61, 203), np.nan))
+            got = _render(cfg.make_texture(), vehicle, cfg, None, np.full((61, 203), np.nan))
             assert got.tobytes() == brute_render(cfg.make_texture(), vehicle, cfg).tobytes()
 
     @settings(deadline=None, max_examples=150)
@@ -460,8 +461,8 @@ def blank_at(ticks):
     """A sim._render that shows flat ground on the given camera ticks."""
     render = sim._render
 
-    def frame(tex, vehicle, cfg, rng, out):
-        render(tex, vehicle, cfg, rng, out)
+    def frame(tex, vehicle, cfg, eta, out):
+        render(tex, vehicle, cfg, eta, out)
         if round(vehicle.t * cfg.camera_rate) in ticks:
             out.fill(0.5)
         return out
@@ -520,9 +521,9 @@ class TestFrameRing:
         outs, frames = [], []
         render, advance = sim._render, sim.advance
 
-        def spy_render(tex, vehicle, cfg, rng, out):
+        def spy_render(tex, vehicle, cfg, eta, out):
             outs.append(out)
-            return render(tex, vehicle, cfg, rng, out)
+            return render(tex, vehicle, cfg, eta, out)
 
         def spy_advance(state, prev, next_, cfg, **pyramids):
             frames.append((prev.pixels, next_.pixels))
@@ -565,6 +566,18 @@ def test_program_built_frames_keep_the_image_invariants():
         assert 0.0 <= px.min() and px.max() <= 1.0
 
 
+def test_noise_beyond_the_float_range_saturates():
+    # sigma * eta overflows to +-inf for |eta| > 1; the clamp still gives
+    # the true value's bound, without an overflow warning.
+    cfg = SimConfig(
+        texture_seed=3, cell_size=0.125, image_width=64, image_height=48,
+        lowlight_noise=sys.float_info.max,
+    )
+    frame = render_frame(cfg.make_texture(), VehicleState(), cfg, np.random.default_rng(1))
+    eta = np.random.default_rng(1).standard_normal((48, 64))
+    assert frame.pixels.tobytes() == (eta > 0).astype(np.float64).tobytes()
+
+
 def philox(key):
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -576,35 +589,40 @@ def lowlight(duration):
 class TestNoiseAhead:
     @pytest.mark.parametrize("shape", [(61, 203), (480, 640)])
     def test_draws_equal_the_serial_stream(self, shape):
-        # run_episode's order: draw a frame, then start the next fill
-        # after every frame but the last.
+        # run_episode's order: wait for a frame's draw, start the next
+        # after every frame but the last, then read the frame's.
         n = 6
         rng = philox(2026)
         source = _NoiseAhead(rng, shape)
         serial = philox(2026)
+        last = np.empty(0)
         for k in range(n + 1):
-            got = source.standard_normal(shape)
-            assert got.tobytes() == serial.standard_normal(shape).tobytes()
+            if k == 3:
+                source.join()  # a join before the wait keeps the started draw
+            got = source.wait()
             if k < n:
-                source.fill()
+                source.start()
+            assert not np.shares_memory(got, last)  # the helper fills the other buffer
+            assert got.tobytes() == serial.standard_normal(shape).tobytes()
+            last = got
         source.join()
         np.testing.assert_equal(rng.bit_generator.state, serial.bit_generator.state)
 
     def test_episode_draws_no_frame_past_the_last(self, monkeypatch):
         sources = []
-        render = sim._render
 
-        def spy(tex, vehicle, cfg, rng, out):
-            sources.append(rng)
-            return render(tex, vehicle, cfg, rng, out)
+        class Spy(_NoiseAhead):
+            def __init__(self, rng, shape):
+                super().__init__(rng, shape)
+                sources.append(self)
 
-        monkeypatch.setattr(sim, "_render", spy)
+        monkeypatch.setattr(sim, "_NoiseAhead", Spy)
         cfg = lowlight(0.4)
         records = run_episode(cfg)
         serial = philox(cfg.texture_seed + 2)
         for _ in records:
             serial.standard_normal((cfg.image_height, cfg.image_width))
-        assert len({id(s) for s in sources}) == 1
+        assert len(sources) == 1
         np.testing.assert_equal(sources[0]._rng.bit_generator.state, serial.bit_generator.state)
 
     def test_helper_error_reaches_the_caller(self):
@@ -613,9 +631,9 @@ class TestNoiseAhead:
                 raise FloatingPointError("draw failed")
 
         source = _NoiseAhead(Broken(), (8, 8))
-        source.fill()
+        source.start()
         with pytest.raises(FloatingPointError, match="draw failed"):
-            source.standard_normal((8, 8))
+            source.wait()
 
 
 class TestNoiseThread:
@@ -655,3 +673,20 @@ class TestNoiseThread:
         rc = load_run_config("calm", None, {"sim": {"duration": 0.4}})
         assert rc.sim.lowlight_noise == 0.0
         assert len(run_episode(rc.sim, rc.gains, rc.tracker)) == 11
+
+    def test_noise_free_episode_builds_no_noise_stream(self, monkeypatch):
+        keys = []
+        philox_ = np.random.Philox
+
+        def spy_philox(*args, **kwargs):
+            keys.append(kwargs.get("key"))
+            return philox_(*args, **kwargs)
+
+        def no_helper(rng, shape):
+            raise AssertionError("a noise-free episode built a noise helper")
+
+        monkeypatch.setattr(np.random, "Philox", spy_philox)
+        monkeypatch.setattr(sim, "_NoiseAhead", no_helper)
+        rc = load_run_config("calm", None, {"sim": {"duration": 0.4}})
+        assert len(run_episode(rc.sim, rc.gains, rc.tracker)) == 11
+        assert keys == [rc.sim.texture_seed + 1]  # the wind stream only
