@@ -159,7 +159,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         ]
     else:
         points = []
-        for spec_ in args.point or []:
+        for spec_ in args.point:
             try:
                 xs, ys = spec_.split(",")
                 points.append((float(xs), float(ys)))
@@ -234,10 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="track points between two PGM frames")
     p.add_argument("prev", help="earlier frame (PGM)")
     p.add_argument("next", help="later frame (PGM)")
-    p.add_argument("--point", action="append", metavar="X,Y",
-                   help="point to track, repeatable")
-    p.add_argument("--auto", action="store_true",
-                   help="track auto-detected corners instead of --point")
+    points = p.add_mutually_exclusive_group(required=True)
+    points.add_argument("--point", action="append", metavar="X,Y",
+                        help="point to track, repeatable")
+    points.add_argument("--auto", action="store_true",
+                        help="track auto-detected corners instead of --point")
     p.add_argument("--window-radius", dest="window_radius", type=int,
                    default=_L.window_radius,
                    help=f"tracking window radius (default: {_L.window_radius})")

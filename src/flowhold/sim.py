@@ -35,7 +35,7 @@ pixel plus one per block.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,49 +345,6 @@ def render_frame(
     return GrayImage._trusted(_render(tex, vehicle, cfg, eta, np.empty(shape)))
 
 
-class _NoiseAhead:
-    """Pixel noise drawn one frame ahead on a helper thread.
-
-    ``wait`` returns the draw ``start`` began, or draws on the spot. Two
-    buffers take turns, so the helper can fill the next frame's while the
-    caller reads the one ``wait`` returned, until the following ``wait``.
-    The stream is read in order, so the values equal ``rng``'s own draws.
-    numpy releases the GIL while it fills, so the helper uses another core.
-    """
-
-    def __init__(self, rng: np.random.Generator, shape: tuple[int, int]) -> None:
-        self._rng = rng
-        self._fill, self._ready = np.empty(shape), np.empty(shape)
-        self._thread: threading.Thread | None = None
-        self._error: Exception | None = None
-
-    def _draw(self) -> None:
-        try:
-            self._rng.standard_normal(out=self._fill)
-        except Exception as exc:  # raised again in the caller's thread
-            self._error = exc
-
-    def start(self) -> None:
-        """Start drawing the next frame's noise on a helper thread."""
-        self._thread = threading.Thread(target=self._draw)
-        self._thread.start()
-
-    def join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-
-    def wait(self) -> np.ndarray:
-        """The next frame's noise; an error in the helper is raised here."""
-        if self._thread is None:
-            self._draw()
-        self.join()
-        self._thread = None  # so a join before this wait keeps the started draw
-        if self._error is not None:
-            raise self._error
-        self._fill, self._ready = self._ready, self._fill
-        return self._ready
-
-
 def wind_step(
     wind: WindState, cfg: SimConfig, dt: float, rng: np.random.Generator
 ) -> WindState:
@@ -462,9 +419,12 @@ def run_episode(
     ``on_tick(k, tracker_state)`` is an optional inspection hook called
     after each tick's tracker update; it must not mutate anything.
 
-    With pixel noise, the next frame's noise is drawn on a helper thread
-    while this frame renders and the tick runs; no helper outlives the
-    call.
+    With pixel noise, a single-worker executor draws the next frame's
+    noise into the other of two buffers while this frame renders and the
+    tick runs; the next draw is queued before the episode waits for this
+    one. An error in a draw is raised here, and the helper thread is
+    joined before the call returns or raises. A noise-free episode
+    submits nothing, so it starts no thread.
 
     The loop owns its frames: from frame 3 on, frame k is rendered
     into the buffer of frame k-2. No frame lives longer than two ticks:
@@ -489,7 +449,8 @@ def run_episode(
     shape = (cfg.image_height, cfg.image_width)
     noise = None
     if cfg.lowlight_noise > 0.0:
-        noise = _NoiseAhead(np.random.Generator(np.random.Philox(key=cfg.texture_seed + 2)), shape)
+        noise = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 2))
+        etas = (np.empty(shape), np.empty(shape))  # frame k's noise fills etas[k % 2]
     ring = [None, None]
 
     controller = PositionHoldController(gains)
@@ -503,14 +464,23 @@ def run_episode(
     prev_img = prev_pyr = None
     last_best = None
 
-    try:
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        draw = None if noise is None else helper.submit(noise.standard_normal, out=etas[0])
         for k in range(n_ticks + 1):
             out = np.empty(shape) if k < 3 else ring[k % 2]
             if k:
                 ring[k % 2] = out
-            eta = None if noise is None else noise.wait()
-            if noise is not None and k < n_ticks:
-                noise.start()  # the next frame's, while this one renders
+            eta = None
+            if draw is not None:
+                # Frame k+1's draw is queued before the wait for frame k's, into
+                # frame k-1's buffer, which nothing reads any more, so the helper
+                # goes straight from one draw to the next. Submitted after the
+                # wait, a draw starts only once the render lets the helper take
+                # the GIL, up to the 5 ms switch interval later.
+                ahead = None
+                if k < n_ticks:
+                    ahead = helper.submit(noise.standard_normal, out=etas[(k + 1) % 2])
+                eta, draw = draw.result(), ahead
             # A read-only view: the frame is frozen, the buffer stays writable.
             img = GrayImage._trusted(_render(tex, vehicle, cfg, eta, out).view())
             flags = set()
@@ -563,7 +533,4 @@ def run_episode(
                     wind = wind_step(wind, cfg, cfg.physics_dt, wind_rng)
                     vehicle = step_dynamics(vehicle, cmd, wind, cfg, cfg.physics_dt)
             prev_img, prev_pyr = img, pyr
-    finally:
-        if noise is not None:
-            noise.join()
     return records

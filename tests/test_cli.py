@@ -196,6 +196,22 @@ class TestFlow:
         starts = [tuple(int(v) for v in l.split()[:2]) for l in out.strip().splitlines()]
         assert starts == inside
 
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ((), "one of the arguments --point --auto is required"),
+            (("--auto", "--point", "30,30"), "argument --point: not allowed with argument --auto"),
+        ],
+        ids=["neither", "both"],
+    )
+    def test_point_or_auto_exactly_one_exit_2(self, capsys, flat_pgm, points, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", str(flat_pgm), str(flat_pgm), *points])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ") and message in err
+
     def test_flat_region_ill_conditioned(self, capsys, flat_pgm):
         code, out, _ = run_cli(
             capsys, "flow", str(flat_pgm), str(flat_pgm), "--point", "32,32"

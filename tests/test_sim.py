@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -23,7 +24,6 @@ from flowhold.sim import (
     run_episode,
     step_dynamics,
     wind_step,
-    _NoiseAhead,
     _render,
 )
 from flowhold.telemetry import dispersion_stats, write_csv
@@ -586,54 +586,112 @@ def lowlight(duration):
     return load_run_config("lowlight", None, {"sim": {"duration": duration}}).sim
 
 
+class SpyGenerator:
+    """A Generator that calls ``hook(k)`` before its k-th standard-normal draw."""
+
+    def __init__(self, gen, hook):
+        self.gen, self.hook, self.draws = gen, hook, 0
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def standard_normal(self, *args, **kwargs):
+        self.hook(self.draws)
+        self.draws += 1
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+def spy_generators(monkeypatch, hook=lambda k: None):
+    """Wrap each generator run_episode builds; returns them in build order."""
+    built = []
+    generator = np.random.Generator
+
+    def build(bit_generator):
+        built.append(SpyGenerator(generator(bit_generator), hook))
+        return built[-1]
+
+    monkeypatch.setattr(np.random, "Generator", build)
+    return built
+
+
 class TestNoiseAhead:
     @pytest.mark.parametrize("shape", [(61, 203), (480, 640)])
-    def test_draws_equal_the_serial_stream(self, shape):
-        # run_episode's order: wait for a frame's draw, start the next
-        # after every frame but the last, then read the frame's.
-        n = 6
-        rng = philox(2026)
-        source = _NoiseAhead(rng, shape)
-        serial = philox(2026)
-        last = np.empty(0)
-        for k in range(n + 1):
-            if k == 3:
-                source.join()  # a join before the wait keeps the started draw
-            got = source.wait()
-            if k < n:
-                source.start()
-            assert not np.shares_memory(got, last)  # the helper fills the other buffer
-            assert got.tobytes() == serial.standard_normal(shape).tobytes()
-            last = got
-        source.join()
-        np.testing.assert_equal(rng.bit_generator.state, serial.bit_generator.state)
+    def test_draws_equal_the_serial_stream(self, monkeypatch, shape):
+        cfg = load_run_config(
+            "lowlight", None,
+            {"sim": {"duration": 0.24, "image_height": shape[0], "image_width": shape[1]}},
+        ).sim
+        etas = []
+        render = sim._render
 
-    def test_episode_draws_no_frame_past_the_last(self, monkeypatch):
-        sources = []
+        def spy(tex, vehicle, cfg, eta, out):
+            etas.append((eta, eta.copy()))  # the buffer, and the draw before the render scales it
+            return render(tex, vehicle, cfg, eta, out)
 
-        class Spy(_NoiseAhead):
-            def __init__(self, rng, shape):
-                super().__init__(rng, shape)
-                sources.append(self)
-
-        monkeypatch.setattr(sim, "_NoiseAhead", Spy)
-        cfg = lowlight(0.4)
+        monkeypatch.setattr(sim, "_render", spy)
         records = run_episode(cfg)
         serial = philox(cfg.texture_seed + 2)
+        assert len(etas) == len(records) == 7
+        for k, (buf, drawn) in enumerate(etas):
+            assert drawn.tobytes() == serial.standard_normal(shape).tobytes()
+            if k:  # the helper fills the other buffer
+                assert not np.shares_memory(buf, etas[k - 1][0])
+            if k > 1:
+                assert np.shares_memory(buf, etas[k - 2][0])
+
+    def test_episode_draws_no_frame_past_the_last(self, monkeypatch):
+        cfg = lowlight(0.4)
+        serial = philox(cfg.texture_seed + 2)
+        built = spy_generators(monkeypatch)
+        records = run_episode(cfg)
         for _ in records:
             serial.standard_normal((cfg.image_height, cfg.image_width))
-        assert len(sources) == 1
-        np.testing.assert_equal(sources[0]._rng.bit_generator.state, serial.bit_generator.state)
+        assert len(built) == 2  # wind, then noise
+        assert built[1].draws == len(records)
+        np.testing.assert_equal(built[1].bit_generator.state, serial.bit_generator.state)
 
-    def test_helper_error_reaches_the_caller(self):
-        class Broken:
-            def standard_normal(self, out):
-                raise FloatingPointError("draw failed")
+    def test_next_draw_is_queued_before_the_wait(self, monkeypatch):
+        # While the helper draws frame k, frame k+1's draw is already
+        # submitted, so the helper never waits for the episode's thread.
+        cfg = lowlight(0.4)
+        submitted = [0]
+        cond = threading.Condition()
 
-        source = _NoiseAhead(Broken(), (8, 8))
-        source.start()
-        with pytest.raises(FloatingPointError, match="draw failed"):
-            source.wait()
+        class Executor(sim.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                with cond:
+                    submitted[0] += 1
+                    cond.notify_all()
+                return future
+
+        queued = []
+
+        def hook(k):  # runs on the helper, before frame k's draw
+            if k < cfg.n_ticks:
+                with cond:
+                    queued.append(cond.wait_for(lambda: submitted[0] >= k + 2, timeout=10))
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Executor)
+        spy_generators(monkeypatch, hook)
+        assert len(run_episode(cfg)) == cfg.n_ticks + 1
+        assert queued == [True] * cfg.n_ticks
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        boom = FloatingPointError("draw failed")
+
+        def fail_frame_3(k):
+            if k == 3:
+                raise boom
+
+        spy_generators(monkeypatch, fail_frame_3)
+        ticks = []
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as info:
+            run_episode(lowlight(0.4), on_tick=lambda k, s: ticks.append(k))
+        assert info.value is boom
+        assert ticks == [0, 1, 2]
+        assert threading.active_count() == before
 
 
 class TestNoiseThread:
@@ -646,23 +704,20 @@ class TestNoiseThread:
 
     def test_no_helper_outlives_a_raising_on_tick(self, monkeypatch):
         # A slow draw keeps the helper alive when on_tick raises.
-        draw = _NoiseAhead._draw
-
-        def slow_draw(source):
-            time.sleep(0.05)
-            draw(source)
-
-        monkeypatch.setattr(_NoiseAhead, "_draw", slow_draw)
+        spy_generators(monkeypatch, lambda k: time.sleep(0.05))
         before = threading.active_count()
+        alive = []
         boom = RuntimeError("tick 3")
 
         def on_tick(k, state):
             if k == 3:
+                alive.append(threading.active_count())
                 raise boom
 
         with pytest.raises(RuntimeError) as info:
             run_episode(lowlight(0.4), on_tick=on_tick)
         assert info.value is boom
+        assert alive == [before + 1]
         assert threading.active_count() == before
 
     def test_noise_free_episode_starts_no_thread(self, monkeypatch):
@@ -682,11 +737,30 @@ class TestNoiseThread:
             keys.append(kwargs.get("key"))
             return philox_(*args, **kwargs)
 
-        def no_helper(rng, shape):
-            raise AssertionError("a noise-free episode built a noise helper")
-
         monkeypatch.setattr(np.random, "Philox", spy_philox)
-        monkeypatch.setattr(sim, "_NoiseAhead", no_helper)
         rc = load_run_config("calm", None, {"sim": {"duration": 0.4}})
         assert len(run_episode(rc.sim, rc.gains, rc.tracker)) == 11
         assert keys == [rc.sim.texture_seed + 1]  # the wind stream only
+
+    def test_concurrent_episodes_equal_serial_runs(self):
+        # Three episodes at once, each with its helper: six threads on two
+        # cores, switching as often as the interpreter allows.
+        cfgs = [dataclasses.replace(lowlight(0.4), texture_seed=s) for s in (11, 12, 13)]
+        serial = [write_csv(run_episode(cfg)) for cfg in cfgs]
+        flown = [None] * len(cfgs)
+
+        def fly(i):
+            flown[i] = write_csv(run_episode(cfgs[i]))
+
+        threads = [threading.Thread(target=fly, args=(i,)) for i in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert flown == serial
