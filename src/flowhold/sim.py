@@ -35,7 +35,6 @@ pixel plus one per block.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +189,8 @@ class SimConfig:
     @property
     def n_ticks(self) -> int:
         """Camera ticks after the first frame; an episode records n_ticks + 1 frames."""
-        return math.floor(self.duration * self.camera_rate)
+        # A product within 1e-9 below a whole number (4.6 * 25) counts as that number.
+        return math.floor(self.duration * self.camera_rate + 1e-9)
 
     @property
     def substeps(self) -> int:
@@ -439,6 +439,8 @@ def run_episode(
     block arrays), which a fresh process would otherwise trim and fault
     in again on every tick.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, so `import flowhold` skips logging
+
     if gains is None:
         gains = PidGains()
     if tracker_cfg is None:

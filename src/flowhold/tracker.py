@@ -2,14 +2,14 @@
 
 Features are only ever acquired in the central half of the frame (per
 axis), so the vehicle is never steered toward structure at the image
-edges. The single best feature (highest detection response) drives the
-displacement measurement; when too few features survive, the whole set
-is replaced by a fresh acquisition.
+edges. Features are held strongest detection first, and the first one,
+the best, drives the displacement measurement; when too few features
+survive, the whole set is replaced by a fresh acquisition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,20 +47,25 @@ class TrackerConfig:
 class TrackedFeature:
     id: int
     position: tuple[float, float]
-    init_response: float
-    age: int = 0
 
 
 @dataclass(frozen=True)
 class TrackerState:
-    """Snapshot of the live feature set between frames; replaced by advance()."""
+    """Snapshot of the live feature set between frames; replaced by advance().
+
+    Features are held in ``detect_corners``' order, strongest first, so
+    the best feature is the first.
+    """
 
     width: int
     height: int
     features: tuple[TrackedFeature, ...]
-    best_id: int | None
     generation: int
     next_id: int
+
+    @property
+    def best_id(self) -> int | None:
+        return self.features[0].id if self.features else None
 
     @property
     def n_alive(self) -> int:
@@ -97,21 +102,6 @@ def center_roi(width: int, height: int) -> Rect:
     return Rect(x=width // 4, y=height // 4, w=width // 2, h=height // 2)
 
 
-def _select_best(
-    features: tuple[TrackedFeature, ...], width: int, height: int
-) -> int | None:
-    if not features:
-        return None
-    cx, cy = float(width // 2), float(height // 2)
-
-    def key(f: TrackedFeature) -> tuple[float, float, int]:
-        dx = f.position[0] - cx
-        dy = f.position[1] - cy
-        return (-f.init_response, dx * dx + dy * dy, f.id)
-
-    return min(features, key=key).id
-
-
 def acquire(
     image: GrayImage, config: TrackerConfig, *, generation: int = 0, next_id: int = 0
 ) -> TrackerState:
@@ -127,18 +117,13 @@ def acquire(
         if config.lk.fits(c.x, c.y, image.width, image.height)
     ]
     features = tuple(
-        TrackedFeature(
-            id=next_id + i,
-            position=(float(c.x), float(c.y)),
-            init_response=c.response,
-        )
+        TrackedFeature(id=next_id + i, position=(float(c.x), float(c.y)))
         for i, c in enumerate(corners)
     )
     return TrackerState(
         width=image.width,
         height=image.height,
         features=features,
-        best_id=_select_best(features, image.width, image.height),
         generation=generation + 1,
         next_id=next_id + len(features),
     )
@@ -155,13 +140,13 @@ def advance(
 ) -> tuple[TrackerState, list[TrackerEvent]]:
     """Track every feature from ``prev`` into ``next_``.
 
-    Survivors keep their ids and age; losses leave the set and are
-    reported as events. If the best feature died, the next best
-    survivor takes over on the same frame. If fewer than min_alive
-    survive, the entire set is replaced by a fresh acquisition on
-    ``next_`` (Reacquired event); dropping to zero features
-    additionally reports Blind. Both frames' pyramids are required
-    while ``state`` holds features.
+    Survivors keep their ids and their order; losses leave the set and
+    are reported as events. If the best feature died, the strongest
+    survivor, now first, takes over on the same frame. If fewer than
+    min_alive survive, the entire set is replaced by a fresh
+    acquisition on ``next_`` (Reacquired event); dropping to zero
+    features additionally reports Blind. Both frames' pyramids are
+    required while ``state`` holds features.
     """
     for img, pyr, name in ((prev, prev_pyramid, "prev"), (next_, next_pyramid, "next")):
         if img.width != state.width or img.height != state.height:
@@ -179,7 +164,7 @@ def advance(
         results = track_points(prev_pyramid, next_pyramid, points, config.lk)
         for feat, res in zip(state.features, results):
             if res.tracked:
-                survivors.append(replace(feat, position=res.point, age=feat.age + 1))
+                survivors.append(TrackedFeature(id=feat.id, position=res.point))
             else:
                 events.append(FeatureLost(feature_id=feat.id, reason=res.status))
     features = tuple(survivors)
@@ -193,27 +178,19 @@ def advance(
             events.append(Blind())
         return new_state, events
 
-    best_id = state.best_id
-    if best_id is not None and not any(f.id == best_id for f in features):
-        best_id = _select_best(features, state.width, state.height)
-    new_state = TrackerState(
+    return TrackerState(
         width=state.width,
         height=state.height,
         features=features,
-        best_id=best_id,
         generation=state.generation,
         next_id=state.next_id,
-    )
-    return new_state, events
+    ), events
 
 
 def best_displacement(
     state: TrackerState, width: int, height: int
 ) -> Displacement | None:
-    """Displacement of the best feature from the image center, or None when blind."""
-    if state.best_id is None:
+    """Displacement of the best (first) feature from the image center, or None when blind."""
+    if not state.features:
         return None
-    for f in state.features:
-        if f.id == state.best_id:
-            return displacement_from_center(f.position, width, height)
-    return None
+    return displacement_from_center(state.features[0].position, width, height)

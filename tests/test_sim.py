@@ -1,9 +1,13 @@
+import concurrent.futures
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,12 +412,16 @@ class TestDynamics:
 
 class TestRunEpisode:
     def test_record_count_contract(self):
-        cfg = SimConfig(texture_seed=11, cell_size=0.125, duration=2.0)
-        records = run_episode(cfg)
-        assert len(records) == math.floor(cfg.duration * cfg.camera_rate) + 1
-        ts = [r.t for r in records]
-        assert ts == sorted(ts)
-        assert ts[0] == 0.0
+        # At 25 Hz, 1.16 s and 4.6 s give products just below a whole number
+        # (28.999999999999996, 114.99999999999999): the last tick still counts.
+        for duration in (2.0, 1.16, 4.6):
+            cfg = SimConfig(texture_seed=11, cell_size=0.125, duration=duration)
+            records = run_episode(cfg)
+            assert len(records) == cfg.n_ticks + 1
+            ts = [r.t for r in records]
+            assert ts == sorted(ts)
+            assert ts[0] == 0.0
+            assert abs(ts[-1] - duration) <= 1e-9
 
     def test_divisibility_validated_before_run(self):
         with pytest.raises(ConfigError):
@@ -657,7 +665,7 @@ class TestNoiseAhead:
         submitted = [0]
         cond = threading.Condition()
 
-        class Executor(sim.ThreadPoolExecutor):
+        class Executor(concurrent.futures.ThreadPoolExecutor):
             def submit(self, fn, /, *args, **kwargs):
                 future = super().submit(fn, *args, **kwargs)
                 with cond:
@@ -672,7 +680,7 @@ class TestNoiseAhead:
                 with cond:
                     queued.append(cond.wait_for(lambda: submitted[0] >= k + 2, timeout=10))
 
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", Executor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Executor)
         spy_generators(monkeypatch, hook)
         assert len(run_episode(cfg)) == cfg.n_ticks + 1
         assert queued == [True] * cfg.n_ticks
@@ -741,6 +749,17 @@ class TestNoiseThread:
         rc = load_run_config("calm", None, {"sim": {"duration": 0.4}})
         assert len(run_episode(rc.sim, rc.gains, rc.tracker)) == 11
         assert keys == [rc.sim.texture_seed + 1]  # the wind stream only
+
+    def test_import_loads_no_executor(self):
+        # run_episode imports the executor when it runs; a fresh process
+        # that only imports the package does not load it.
+        env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).resolve().parents[1]))
+        code = "import sys, flowhold.config; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_concurrent_episodes_equal_serial_runs(self):
         # Three episodes at once, each with its helper: six threads on two

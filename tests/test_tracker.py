@@ -13,6 +13,7 @@ from flowhold.tracker import (
     Blind,
     FeatureLost,
     Reacquired,
+    TrackedFeature,
     TrackerConfig,
     acquire,
     advance,
@@ -137,7 +138,6 @@ class TestAdvance:
         assert new_state.generation == state.generation
         for old, new in zip(state.features, new_state.features):
             assert new.position == old.position
-            assert new.age == old.age + 1
 
     def test_translated_frame_shifts_positions(self):
         gsd = 1.0 / 500.0
@@ -184,26 +184,35 @@ class TestAdvance:
             advance_built(state, frame, wrong, TrackerConfig())
 
     def test_best_switch_on_best_death(self):
-        # Deterministic setup: two features, kill the best by erasing
-        # its neighborhood in the next frame.
+        # Deterministic setup: kill the best feature by erasing its
+        # neighborhood in the next frame; the survivor detected first,
+        # the strongest one left, takes over.
         img = smooth_texture(96, 96, seed=14)
-        config = TrackerConfig(
-            detect=DetectParams(max_corners=2, min_distance=10.0),
-            lk=LkParams(window_radius=5, pyramid_levels=1),
-            min_alive=1,
-        )
-        state = acquire(img, config)
-        assert state.n_alive == 2
-        best = next(f for f in state.features if f.id == state.best_id)
-        other = next(f for f in state.features if f.id != state.best_id)
-        px = img.pixels.copy()
-        bx, by = int(round(best.position[0])), int(round(best.position[1]))
-        px[by - 8 : by + 9, bx - 8 : bx + 9] = 0.5
-        wiped = GrayImage(px)
-        new_state, events = advance_built(state, img, wiped, config)
-        lost_ids = [e.feature_id for e in events if isinstance(e, FeatureLost)]
-        assert best.id in lost_ids
-        assert new_state.best_id == other.id
+        for n_corners in (2, 3):
+            config = TrackerConfig(
+                detect=DetectParams(max_corners=n_corners, min_distance=10.0),
+                lk=LkParams(window_radius=5, pyramid_levels=1),
+                min_alive=1,
+            )
+            state = acquire(img, config)
+            detected = detect_corners(img, center_roi(96, 96), config.detect)
+            assert [f.position for f in state.features] == [
+                (float(c.x), float(c.y)) for c in detected
+            ]
+            assert state.n_alive == n_corners
+            best = state.features[0]
+            assert state.best_id == best.id
+            px = img.pixels.copy()
+            bx, by = int(round(best.position[0])), int(round(best.position[1]))
+            px[by - 8 : by + 9, bx - 8 : bx + 9] = 0.5
+            wiped = GrayImage(px)
+            new_state, events = advance_built(state, img, wiped, config)
+            lost_ids = [e.feature_id for e in events if isinstance(e, FeatureLost)]
+            assert best.id in lost_ids
+            assert Reacquired() not in events
+            survivors = [f.id for f in state.features if f.id not in lost_ids]
+            assert len(survivors) == n_corners - 1
+            assert new_state.best_id == survivors[0]
 
     def test_determinism(self):
         frame_a, _ = textured_frame()
@@ -213,7 +222,7 @@ class TestAdvance:
         for _ in range(2):
             state = acquire(frame_a, config)
             state, _ = advance_built(state, frame_a, frame_b, config)
-            runs.append([(f.id, f.position, f.age) for f in state.features])
+            runs.append([(f.id, f.position) for f in state.features])
         assert runs[0] == runs[1]
 
 
@@ -223,10 +232,7 @@ class TestBestDisplacement:
         state = acquire(frame, TrackerConfig())
         # Replace best position with the exact center to pin the zero case.
         feats = tuple(
-            f if f.id != state.best_id else type(f)(
-                id=f.id, position=(320.0, 240.0), init_response=f.init_response,
-                age=f.age,
-            )
+            f if f.id != state.best_id else TrackedFeature(id=f.id, position=(320.0, 240.0))
             for f in state.features
         )
         state = replace(state, features=feats)
@@ -237,10 +243,7 @@ class TestBestDisplacement:
         frame, _ = textured_frame()
         state = acquire(frame, TrackerConfig())
         feats = tuple(
-            f if f.id != state.best_id else type(f)(
-                id=f.id, position=(480.0, 120.0), init_response=f.init_response,
-                age=f.age,
-            )
+            f if f.id != state.best_id else TrackedFeature(id=f.id, position=(480.0, 120.0))
             for f in state.features
         )
         state = replace(state, features=feats)
@@ -260,9 +263,19 @@ def assert_invariants(state, config):
         assert margin <= y <= state.height - 1 - margin
     ids = [f.id for f in state.features]
     assert len(set(ids)) == len(ids)
-    assert state.best_id is None or state.best_id in ids
+    assert state.best_id == (ids[0] if ids else None)
     assert state.n_alive == len(state.features)
     assert state.blind == (not state.features)
+
+
+def assert_acquired(state, image, config):
+    """Features are the center-ROI corners LK can track, in pick order."""
+    corners = detect_corners(image, center_roi(image.width, image.height), config.detect)
+    expected = [
+        (float(c.x), float(c.y)) for c in corners
+        if config.lk.fits(c.x, c.y, image.width, image.height)
+    ]
+    assert [f.position for f in state.features] == expected
 
 
 class TestInvariants:
@@ -291,6 +304,15 @@ class TestInvariants:
         ]
         state = acquire(frames[0], config)
         assert_invariants(state, config)
+        assert_acquired(state, frames[0], config)
         for prev, next_ in zip(frames, frames[1:]):
-            state, _ = advance_built(state, prev, next_, config)
+            old = state
+            state, events = advance_built(state, prev, next_, config)
             assert_invariants(state, config)
+            if state.generation == old.generation:
+                lost = {e.feature_id for e in events if isinstance(e, FeatureLost)}
+                assert [f.id for f in state.features] == [
+                    f.id for f in old.features if f.id not in lost
+                ]
+            else:
+                assert_acquired(state, next_, config)
