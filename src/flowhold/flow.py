@@ -1,5 +1,8 @@
 """Pyramidal iterative Lucas-Kanade sparse optical flow.
 
+A pyramid is a tuple of read-only float64 level arrays: the frame's own
+pixels first, then each level floor-half of the one before.
+
 Coarse-to-fine, forward-additive: at each pyramid level the 2x2 normal
 system G * delta = e is rebuilt from the previous frame's window
 gradients and iterated against the next frame until the update norm
@@ -31,7 +34,6 @@ __all__ = [
     "FlowResult",
     "FlowStatus",
     "LkParams",
-    "Pyramid",
     "build_pyramid",
     "track_points",
 ]
@@ -102,27 +104,17 @@ class FlowResult:
         return self.status is FlowStatus.TRACKED
 
 
-@dataclass(frozen=True)
-class Pyramid:
-    """Level 0 is full resolution; each level halves the dimensions (floor)."""
+def build_pyramid(image: GrayImage, levels: int) -> tuple[np.ndarray, ...]:
+    """Box-average pyramid: a tuple of read-only float64 level arrays.
 
-    levels: tuple[GrayImage, ...]
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("pyramid needs at least one level")
-        for fine, coarse in zip(self.levels, self.levels[1:]):
-            if coarse.width != fine.width // 2 or coarse.height != fine.height // 2:
-                raise ValueError("each level must be floor-half of the previous")
-
-
-def build_pyramid(image: GrayImage, levels: int) -> Pyramid:
-    """Box-average pyramid; depth auto-clamps so the deepest level stays >= 8x8."""
+    Level 0 is ``image.pixels`` itself; each level after it halves the
+    one before (floor). Depth auto-clamps so the deepest level stays >= 8x8.
+    """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    out = [image]
+    out = [image.pixels]
     while len(out) < levels:
-        cur = out[-1].pixels
+        cur = out[-1]
         h2, w2 = cur.shape[0] // 2, cur.shape[1] // 2
         if h2 < 8 or w2 < 8:
             break
@@ -131,8 +123,9 @@ def build_pyramid(image: GrayImage, levels: int) -> Pyramid:
         down += block[1::2, 0::2]
         down += block[1::2, 1::2]
         down *= 0.25
-        out.append(GrayImage._trusted(down))
-    return Pyramid(levels=tuple(out))
+        down.setflags(write=False)
+        out.append(down)
+    return tuple(out)
 
 
 _TRACKED, _OOB, _ILL, _DIV, _RES = range(5)  # indices into tuple(FlowStatus)
@@ -149,23 +142,27 @@ def _cut(keep: np.ndarray, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ..
 
 
 def track_points(
-    prev: Pyramid,
-    next_: Pyramid,
+    prev: tuple[np.ndarray, ...],
+    next_: tuple[np.ndarray, ...],
     points: np.ndarray | list[tuple[float, float]],
     params: LkParams,
 ) -> list[FlowResult]:
     """Track several points from ``prev`` into ``next_`` in one batch.
 
-    All points share the pyramids, so the per-level sampling and the
-    2x2 solves are vectorized across features. Ill-starts at deep
-    levels where the window does not fit are skipped rather than fatal;
-    level 0 must fit (that is the caller's precondition).
+    ``prev`` and ``next_`` are pyramids as ``build_pyramid`` returns
+    them: level arrays, full resolution first. All points share them,
+    so the per-level sampling and the 2x2 solves are vectorized across
+    features. Ill-starts at deep levels where the window does not fit
+    are skipped rather than fatal; level 0 must fit (that is the
+    caller's precondition).
     """
-    if len(prev.levels) != len(next_.levels):
-        raise ValueError("pyramids must have the same depth")
-    for a, b in zip(prev.levels, next_.levels):
-        if a.width != b.width or a.height != b.height:
-            raise ValueError("pyramid level dimensions must match")
+    if not prev or len(prev) != len(next_):
+        raise ValueError("pyramids must have the same depth, at least one level")
+    for level, (a, b) in enumerate(zip(prev, next_)):
+        if a.shape != b.shape:
+            raise ValueError(f"pyramid level {level} shapes differ: {a.shape} vs {b.shape}")
+        if level and a.shape != tuple(n // 2 for n in prev[level - 1].shape):
+            raise ValueError(f"pyramid level {level} is not floor-half of level {level - 1}")
 
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.size == 0:
@@ -174,7 +171,7 @@ def track_points(
         raise ValueError("points must be an (n, 2) array of x, y coordinates")
 
     r = params.window_radius
-    h0, w0 = prev.levels[0].pixels.shape
+    h0, w0 = prev[0].shape
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         raise ValueError(f"points must be finite, got {tuple(pts[~finite][0].tolist())}")
@@ -196,9 +193,9 @@ def track_points(
     act0 = np.empty(0, dtype=np.intp)  # the points that enter level 0 ...
     pwin0 = None  # ... and their level-0 windows, reused for the residual
 
-    for level in range(len(prev.levels) - 1, -1, -1):
-        img_p = prev.levels[level].pixels
-        img_n = next_.levels[level].pixels
+    for level in range(len(prev) - 1, -1, -1):
+        img_p = prev[level]
+        img_n = next_[level]
         hl, wl = img_p.shape
         pl = pts * (1.0 / (1 << level))
         act = np.nonzero((status == _TRACKED) & params.fits(*pl.T, wl, hl))[0]
@@ -253,7 +250,7 @@ def track_points(
     if ok.any():
         act = act0[ok]
         nwin = bilinear_many(
-            next_.levels[0].pixels,
+            next_[0],
             (pts[act, 0][:, None, None] + ox) + flow[act, 0][:, None, None],
             (pts[act, 1][:, None, None] + oy) + flow[act, 1][:, None, None],
         )

@@ -34,6 +34,7 @@ pixel plus one per block.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -164,7 +165,7 @@ class SimConfig:
             raise ConfigError("max_tilt must lie in (0, pi/2)")
         if self.image_width < 8 or self.image_height < 8:
             raise ConfigError("image dimensions must be at least 8x8")
-        if not self._cells_exact(self.start_x, self.start_y):
+        if not self._cells_exact(self.start_x, self.start_y, self.cell_size):
             raise ConfigError(
                 "start_x, start_y, altitude, focal_px, image_width, image_height and cell_size "
                 "put the first frame's cell indices beyond 2**53"
@@ -204,11 +205,11 @@ class SimConfig:
     def make_texture(self) -> GroundTexture:
         return GroundTexture(seed=self.texture_seed, cell_size=self.cell_size)
 
-    def _cells_exact(self, x: float, y: float) -> bool:
+    def _cells_exact(self, x: float, y: float, cell_size: float) -> bool:
         # Render floors world / cell_size to int64 cell indices; below 2**53
         # each is exact. False for a non-finite position too.
         reach = math.hypot(self.image_width, self.image_height) / 2 * self.ground_sample_distance
-        return all((abs(c) + reach) / self.cell_size < 2**53 for c in (x, y))
+        return all((abs(c) + reach) / cell_size < 2**53 for c in (x, y))
 
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
@@ -285,7 +286,7 @@ def _render(
     if cfg.blank_ground:
         out.fill(0.5)
     else:
-        if not cfg._cells_exact(vehicle.x, vehicle.y):
+        if not cfg._cells_exact(vehicle.x, vehicle.y, tex.cell_size):
             raise ConfigError(
                 f"sim: at t={vehicle.t:.3f} s the vehicle is at ({vehicle.x:g}, {vehicle.y:g}) m, "
                 "where the frame's cell indices reach 2**53 and no longer render exactly; "
@@ -424,7 +425,7 @@ def run_episode(
     tick runs; the next draw is queued before the episode waits for this
     one. An error in a draw is raised here, and the helper thread is
     joined before the call returns or raises. A noise-free episode
-    submits nothing, so it starts no thread.
+    builds no executor, so it starts no thread.
 
     The loop owns its frames: from frame 3 on, frame k is rendered
     into the buffer of frame k-2. No frame lives longer than two ticks:
@@ -439,8 +440,6 @@ def run_episode(
     block arrays), which a fresh process would otherwise trim and fault
     in again on every tick.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, so `import flowhold` skips logging
-
     if gains is None:
         gains = PidGains()
     if tracker_cfg is None:
@@ -450,9 +449,14 @@ def run_episode(
     wind_rng = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 1))
     shape = (cfg.image_height, cfg.image_width)
     noise = None
+    helper = contextlib.nullcontext()
     if cfg.lowlight_noise > 0.0:
+        # Imported here, so `import flowhold` and a noise-free episode skip logging.
+        from concurrent.futures import ThreadPoolExecutor
+
         noise = np.random.Generator(np.random.Philox(key=cfg.texture_seed + 2))
         etas = (np.empty(shape), np.empty(shape))  # frame k's noise fills etas[k % 2]
+        helper = ThreadPoolExecutor(max_workers=1)  # no thread before its first submit
     ring = [None, None]
 
     controller = PositionHoldController(gains)
@@ -466,7 +470,7 @@ def run_episode(
     prev_img = prev_pyr = None
     last_best = None
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with helper:
         draw = None if noise is None else helper.submit(noise.standard_normal, out=etas[0])
         for k in range(n_ticks + 1):
             out = np.empty(shape) if k < 3 else ring[k % 2]

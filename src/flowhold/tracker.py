@@ -15,7 +15,7 @@ import numpy as np
 
 from flowhold.control import Displacement, displacement_from_center
 from flowhold.corners import DetectParams, Rect, detect_corners
-from flowhold.flow import FlowStatus, LkParams, Pyramid, track_points
+from flowhold.flow import FlowStatus, LkParams, track_points
 from flowhold.image import GrayImage
 
 __all__ = [
@@ -135,8 +135,8 @@ def advance(
     next_: GrayImage,
     config: TrackerConfig,
     *,
-    prev_pyramid: Pyramid | None = None,
-    next_pyramid: Pyramid | None = None,
+    prev_pyramid: tuple[np.ndarray, ...] | None = None,
+    next_pyramid: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[TrackerState, list[TrackerEvent]]:
     """Track every feature from ``prev`` into ``next_``.
 

@@ -212,6 +212,16 @@ class TestFlow:
         assert out == ""
         assert err.startswith("usage: ") and message in err
 
+    @pytest.mark.parametrize("spec", ["3", "1,2,3", "a,b"])
+    def test_malformed_point_exit_2(self, capsys, flat_pgm, spec):
+        code, out, err = run_cli(capsys, "flow", str(flat_pgm), str(flat_pgm), "--point", spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --point expects x,y, got {spec!r}\n"
+
+    def test_auto_without_corners_prints_nothing(self, capsys, flat_pgm):
+        assert run_cli(capsys, "flow", str(flat_pgm), str(flat_pgm), "--auto") == (0, "", "")
+
     def test_flat_region_ill_conditioned(self, capsys, flat_pgm):
         code, out, _ = run_cli(
             capsys, "flow", str(flat_pgm), str(flat_pgm), "--point", "32,32"
@@ -328,6 +338,44 @@ class TestSimulateAndReport:
         code, _, err = run_cli(capsys, "simulate", "--set", setting, "--out", str(tmp_path))
         assert code == 2
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("setting", ["sim.duration", "duration=3", "sim=3"])
+    def test_malformed_set_exit_2(self, capsys, tmp_path, setting):
+        code, out, err = run_cli(capsys, "simulate", "--set", setting, "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --set expects section.field=value, got {setting!r}\n"
+
+    def test_set_value_not_json_is_a_string(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "simulate", "--set", "sim.duration=long", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: sim.duration: expected a number, got 'long'\n"
+
+    def test_yaw_rate_flag_sets_the_field(self, capsys, tmp_path):
+        runs = {}
+        routes = {"flag": ["--yaw-rate", "0.5"], "set": ["--set", "sim.yaw_rate=0.5"], "none": []}
+        for name, flags in routes.items():
+            out_dir = tmp_path / name
+            code, _, _ = run_cli(
+                capsys, "simulate", "--preset", "calm", "--duration", "0.4", *flags,
+                "--out", str(out_dir),
+            )
+            assert code == 0
+            runs[name] = (out_dir / "telemetry.csv").read_bytes()
+        assert runs["flag"] == runs["set"] != runs["none"]
+
+    def test_runtime_failure_exit_1(self, capsys, tmp_path, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("out of luck")
+
+        monkeypatch.setattr("flowhold.cli.run_episode", fail)
+        code, out, err = run_cli(capsys, "simulate", "--duration", "0.2", "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == "runtime error: out of luck\n"
 
     @pytest.mark.parametrize("section", ["detect", "lk"])
     def test_window_radius_beyond_frame_exit_2(self, capsys, tmp_path, section):

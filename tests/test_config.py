@@ -177,6 +177,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sim.duration"):
             load_run_config(None, None, {"sim": {"duration": "long"}})
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("texture_seed", 1.5, "expected an integer, got 1.5"),
+            ("texture_seed", True, "expected an integer, got True"),
+            ("blank_ground", 1, "expected true/false, got 1"),
+            ("blank_ground", "yes", "expected true/false, got 'yes'"),
+        ],
+    )
+    def test_int_and_bool_fields_take_only_their_type(self, field, value, error):
+        with pytest.raises(ConfigError, match=f"^sim.{field}: {error}$"):
+            load_run_config(None, None, {"sim": {field: value}})
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("[1, 2]", "top level must be a JSON object"), ('{"sim": 3}', "section 'sim' must be")],
+        ids=["top-level", "section"],
+    )
+    def test_tree_must_be_objects(self, tmp_path, text, error):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=error):
+            load_run_config(None, path)
+        with pytest.raises(ConfigError, match=error):
+            load_run_config(None, None, json.loads(text))
+
     def test_semantic_error_surfaces(self):
         with pytest.raises(ConfigError):
             load_run_config(None, None, {"gains": {"out_limit": 0.0}})

@@ -159,6 +159,11 @@ class TestPositionHoldController:
         assert cmd == AttitudeCommand(pitch=0.0, roll=0.0)
         assert (ctrl.roll_state.integral, ctrl.pitch_state.integral) == frozen
 
+    @pytest.mark.parametrize("dt", [0.0, -0.04])
+    def test_step_dt_must_be_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            PositionHoldController(PidGains()).step(Displacement(1.0, 1.0), dt)
+
     def test_p_only_axis_mapping(self):
         gains = PidGains(kp=0.001, ki=0.0, kd=0.0, out_limit=0.2)
         ctrl = PositionHoldController(gains)

@@ -19,6 +19,12 @@ def test_lk_params_reject_inf(field):
         LkParams(**{field: float("inf")})
 
 
+@pytest.mark.parametrize("field", ["pyramid_levels", "max_iterations"])
+def test_lk_params_reject_below_one(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        LkParams(**{field: 0})
+
+
 def seeded_points(width, height, count, margin, seed=5):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(margin, width - 1 - margin, count)
@@ -30,29 +36,34 @@ class TestBuildPyramid:
     def test_single_level_is_identity(self):
         img = GrayImage(np.random.default_rng(0).uniform(0, 1, (16, 16)))
         pyr = build_pyramid(img, 1)
-        assert len(pyr.levels) == 1
-        assert pyr.levels[0] is img
+        assert len(pyr) == 1
+        assert pyr[0] is img.pixels
 
     def test_constant_box_average(self):
         pyr = build_pyramid(GrayImage.full(16, 16, 0.5), 2)
-        assert pyr.levels[1].width == 8 and pyr.levels[1].height == 8
-        np.testing.assert_array_equal(pyr.levels[1].pixels, 0.5)
+        assert pyr[1].shape == (8, 8)
+        np.testing.assert_array_equal(pyr[1], 0.5)
 
     def test_checkerboard_averages_to_half(self):
         px = np.indices((16, 16)).sum(axis=0) % 2
         pyr = build_pyramid(GrayImage(px.astype(np.float64)), 2)
-        np.testing.assert_array_equal(pyr.levels[1].pixels, 0.5)
+        np.testing.assert_array_equal(pyr[1], 0.5)
 
     def test_depth_clamps_to_keep_8x8(self):
         img = GrayImage.full(32, 32, 0.1)
         pyr = build_pyramid(img, 6)
-        assert len(pyr.levels) == 3  # 32 -> 16 -> 8, deeper would be 4x4
-        assert pyr.levels[-1].width == 8
+        assert len(pyr) == 3  # 32 -> 16 -> 8, deeper would be 4x4
+        assert pyr[-1].shape == (8, 8)
 
     def test_odd_dimensions_floor(self):
         img = GrayImage(np.random.default_rng(1).uniform(0, 1, (33, 37)))
         pyr = build_pyramid(img, 2)
-        assert (pyr.levels[1].width, pyr.levels[1].height) == (18, 16)
+        assert pyr[1].shape == (16, 18)
+        assert pyr[1].dtype == np.float64 and not pyr[1].flags.writeable
+
+    def test_levels_below_one_rejected(self):
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            build_pyramid(GrayImage.full(16, 16, 0.5), 0)
 
 
 class TestLkTrack:
@@ -180,5 +191,32 @@ class TestLkTrack:
     def test_mismatched_pyramids_rejected(self):
         a = build_pyramid(smooth_texture(64, 64, seed=1), 2)
         b = build_pyramid(smooth_texture(48, 64, seed=1), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="level 0 shapes differ"):
             track_points(a, b, [(32.0, 32.0)], LkParams())
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda pyr: ((), ()), "at least one level"),
+            (lambda pyr: (pyr, pyr[:1]), "same depth"),
+            (lambda pyr: (pyr, (pyr[0], pyr[1][:, :-1])), "level 1 shapes differ"),
+            (lambda pyr: ((pyr[0], pyr[1][:-1]),) * 2, "level 1 is not floor-half of level 0"),
+        ],
+        ids=["empty", "depth", "level-shape", "not-floor-half"],
+    )
+    def test_bad_pyramid_pair_rejected(self, make, message):
+        prev, next_ = make(build_pyramid(smooth_texture(64, 64, seed=1), 2))
+        with pytest.raises(ValueError, match=message):
+            track_points(prev, next_, [(32.0, 32.0)], LkParams(window_radius=5))
+
+    def test_no_points_track_to_nothing(self):
+        pyr = build_pyramid(smooth_texture(64, 64, seed=1), 2)
+        assert track_points(pyr, pyr, np.empty((0, 2)), LkParams()) == []
+
+    @pytest.mark.parametrize(
+        "points", [[(32.0, 32.0, 1.0)], [[[32.0, 32.0]]]], ids=["3-cols", "3-d"]
+    )
+    def test_points_not_n_by_2_rejected(self, points):
+        pyr = build_pyramid(smooth_texture(64, 64, seed=1), 2)
+        with pytest.raises(ValueError, match=r"\(n, 2\) array"):
+            track_points(pyr, pyr, points, LkParams())

@@ -89,6 +89,22 @@ class TestLoadPgm:
             with pytest.raises(PgmError, match=error):
                 load_pgm(data)
 
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            (b"P5", "^width: missing header field$"),
+            (b"P5 2 # no height\n", "^height: missing header field$"),
+            (b"P5 2 1", "^maxval: missing header field$"),
+            (pgm_bytes(0, 1, 255, []), "^width: must be positive, got 0$"),
+            (pgm_bytes(1, -1, 255, [0]), "^height: must be positive, got -1$"),
+            (b"P5 1 1 255", "^payload: expected a single whitespace byte after maxval$"),
+        ],
+        ids=["no-width", "no-height", "no-maxval", "zero-width", "negative-height", "no-space"],
+    )
+    def test_header_field_rejected(self, data, error):
+        with pytest.raises(PgmError, match=error):
+            load_pgm(data)
+
     def test_non_numeric_width(self):
         with pytest.raises(PgmError, match="width"):
             load_pgm(b"P5 x 2 255 " + bytes(4))

@@ -100,6 +100,12 @@ def test_sim_config_rejects_inexact_cell_indices(fields):
     assert all(name in str(info.value) for name in fields)
 
 
+@pytest.mark.parametrize("width, height", [(7, 8), (8, 7)])
+def test_sim_config_rejects_frames_under_8x8(width, height):
+    with pytest.raises(ConfigError, match="at least 8x8"):
+        SimConfig(image_width=width, image_height=height)
+
+
 def test_sim_config_accepts_cell_indices_just_below_2_53():
     # 2**52 cells of 0.25 m out, plus the frame's 0.8 m half-diagonal.
     SimConfig(start_x=2.0**50)
@@ -183,14 +189,26 @@ class TestRenderFrame:
         b = render_frame(tex, VehicleState(), dim, quiet())
         np.testing.assert_allclose(b.pixels, a.pixels * 0.25, atol=1e-15)
 
-    @pytest.mark.parametrize("x", [1e300, -3e15, math.inf, math.nan])
-    def test_frame_beyond_exact_cells_is_rejected(self, x):
+    @pytest.mark.parametrize(
+        "x, y, cell",
+        [
+            pytest.param(0.0, 1e300, 0.125, id="1e+300"),
+            pytest.param(0.0, -3e15, 0.125, id="-3000000000000000.0"),
+            pytest.param(0.0, math.inf, 0.125, id="inf"),
+            pytest.param(0.0, math.nan, 0.125, id="nan"),
+            # The texture's cells are the ones floored, not the config's:
+            # 1e-12 m cells put x = 1e4 m at cell index 1e16.
+            pytest.param(1e4, 0.0, 1e-12, id="texture-cells-1e-12"),
+        ],
+    )
+    def test_frame_beyond_exact_cells_is_rejected(self, x, y, cell):
         # 0.125 m cells: 2**53 of them end near 1.1e15 m.
         cfg = SimConfig(texture_seed=9, cell_size=0.125)
+        tex = GroundTexture(seed=9, cell_size=cell)
         with pytest.raises(ConfigError, match=r"2\*\*53"):
-            render_frame(cfg.make_texture(), VehicleState(y=x, t=1.5), cfg, quiet())
-        blank = SimConfig(texture_seed=9, cell_size=0.125, blank_ground=True)  # reads no cell
-        flat = render_frame(blank.make_texture(), VehicleState(y=x), blank, quiet())
+            render_frame(tex, VehicleState(x=x, y=y, t=1.5), cfg, quiet())
+        blank = dataclasses.replace(cfg, blank_ground=True)  # reads no cell
+        flat = render_frame(tex, VehicleState(x=x, y=y), blank, quiet())
         assert flat.pixels.min() == flat.pixels.max() == 0.5
 
     def test_camera_flow_sign_consistency(self):
@@ -315,6 +333,15 @@ def test_sub_pixel_cells_render_in_bounded_memory(yaw):
     finally:
         tracemalloc.stop()
     assert peak < 10 * cfg.image_width * cfg.image_height * 8
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.005])
+def test_physics_steps_reject_non_positive_dt(dt):
+    cfg, wind = SimConfig(), WindState()
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        wind_step(wind, cfg, dt, quiet())
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        step_dynamics(VehicleState(), AttitudeCommand(), wind, cfg, dt)
 
 
 class TestWind:
@@ -568,8 +595,7 @@ def test_program_built_frames_keep_the_image_invariants():
     # hold, and the arrays must be frozen like a checked image's.
     cfg = SimConfig(texture_seed=3, cell_size=0.125, lowlight_gain=0.5, lowlight_noise=0.2)
     frame = render_frame(cfg.make_texture(), VehicleState(), cfg, np.random.default_rng(1))
-    for level in build_pyramid(frame, 3).levels:
-        px = level.pixels
+    for px in build_pyramid(frame, 3):
         assert px.dtype == np.float64 and not px.flags.writeable
         assert 0.0 <= px.min() and px.max() <= 1.0
 
@@ -751,10 +777,15 @@ class TestNoiseThread:
         assert keys == [rc.sim.texture_seed + 1]  # the wind stream only
 
     def test_import_loads_no_executor(self):
-        # run_episode imports the executor when it runs; a fresh process
-        # that only imports the package does not load it.
+        # run_episode imports the executor only for an episode with pixel
+        # noise; a fresh process that imports the package and flies a
+        # noise-free episode does not load it.
         env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).resolve().parents[1]))
-        code = "import sys, flowhold.config; print('concurrent.futures' in sys.modules)"
+        code = (
+            "import sys, flowhold.config, flowhold.sim as s; "
+            "s.run_episode(s.SimConfig(duration=0.2)); "
+            "print('concurrent.futures' in sys.modules)"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )

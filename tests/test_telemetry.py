@@ -217,6 +217,16 @@ class TestCsv:
         with pytest.raises(CsvError, match="column t"):
             read_csv((CSV_HEADER + "\n" + row + "\n").encode())
 
+    @pytest.mark.parametrize("column", [10, 11])
+    @pytest.mark.parametrize("cell", ["1.5", "x", ""])
+    def test_read_rejects_non_integer_count(self, column, cell):
+        cells = "0,0,0,0,0,,,,0,0,1,1,".split(",")
+        cells[column] = cell
+        name = CSV_HEADER.split(",")[column]
+        message = f"^row 2, column {name}: expected an integer, got '{cell}'$"
+        with pytest.raises(CsvError, match=message):
+            read_csv((CSV_HEADER + "\n" + ",".join(cells) + "\n").encode())
+
     def test_header_is_the_documented_schema(self):
         # The header follows FrameRecord's field order; reordering or
         # renaming a field must not silently change the file format.
